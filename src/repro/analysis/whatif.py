@@ -58,49 +58,32 @@ A batch of edits applied together must be conflict-free:
 target (two ``period:T1=`` edits, a ``swap:`` plus any placement edit of
 a swapped task, ...) instead of silently letting the last one win.
 
-WCRT fixpoints warm-start from the previous fixpoint when provably
-sound: the busy-window recurrence ``f`` is monotone, so iterating from
-any ``w0 <= lfp(f_new)`` reaches the same least fixpoint, and
-``w_old = lfp(f_old) <= lfp(f_new)`` whenever ``f_new >= f_old``
-pointwise.  That dominance is checked on the *actual* per-interferer
-terms (own WCET up, per-preemption costs up, periods down, jitters up),
-never inferred from the edit kind.  A warm result is accepted only when
-``iter_bound_old + iterations_warm <= max_iterations`` — a cold run
-reaches the fixpoint within that many steps, so acceptance can never
-disagree with a cold run's convergence verdict (soundness argument in
-``docs/performance.md``).
+WCRT fixpoints are memoised per (approach, task) and warm-started from
+the previous fixpoint only when provably sound — see
+:func:`repro.analysis.pipeline.wcrt_stage` and ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Union
 
-from repro.analysis.artifacts import TaskArtifacts, analyze_task
-from repro.analysis.crpd import (
-    ALL_APPROACHES,
-    Approach,
-    CRPDAnalyzer,
-    PreemptionEstimate,
+from repro.analysis.pipeline import (
+    GRAPH_NODES,
+    SystemResult,
+    evaluate,
+    place,
+    resolve_base,
 )
 from repro.analysis.store import ArtifactStore
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
-from repro.guard.ledger import DegradationLedger
 from repro.obs import STATE as _OBS
-from repro.wcrt.response_time import WCRTResult, compute_task_wcrt
-from repro.wcrt.task import TaskSpec, TaskSystem
 
 if TYPE_CHECKING:
     from repro.batch.pool import WarmPool
-    from repro.experiments.setup import ExperimentSpec
-    from repro.fuzz.spec import SystemSpec
     from repro.guard.budget import AnalysisBudget
-
-#: Sub-artifact node classes reported by the invalidation counters.
-GRAPH_NODES = ("trace", "sim", "flow", "paths", "task", "pair", "wcrt")
 
 
 @dataclass(frozen=True)
@@ -277,89 +260,6 @@ def check_edit_conflicts(edits) -> None:
                 )
 
 
-@dataclass
-class WhatIfResult:
-    """One fully re-analysed state of a what-if session."""
-
-    label: str
-    config: CacheConfig
-    periods: dict
-    jitters: dict
-    wcet: dict
-    estimates: list
-    #: ``Approach -> task name -> WCRTResult`` (true fixpoints; the
-    #: iteration runs with ``stop_at_deadline=False`` like the batch
-    #: engine, so Table III/V-style above-period values are exact).
-    wcrt: dict
-    soundness: str
-    events: tuple
-    elapsed_seconds: float = 0.0
-    invalidated: dict = field(default_factory=dict)
-    reused: dict = field(default_factory=dict)
-    warm_started: int = 0
-
-    def schedulable(self, approach: Approach) -> bool:
-        return all(r.schedulable for r in self.wcrt[Approach(approach)].values())
-
-    def _payload(self) -> dict:
-        lines = {
-            f"{e.preempted}<-{e.preempting}": {
-                str(a.value): count for a, count in e.lines.items()
-            }
-            for e in self.estimates
-        }
-        return {
-            "config": {
-                "num_sets": self.config.num_sets,
-                "ways": self.config.ways,
-                "line_size": self.config.line_size,
-                "miss_penalty": self.config.miss_penalty,
-                "policy": self.config.policy,
-                "write_back": self.config.write_back,
-            },
-            "periods": dict(self.periods),
-            "jitters": dict(self.jitters),
-            "wcet": dict(self.wcet),
-            "lines": lines,
-            "wcrt": {
-                str(a.value): {name: r.wcrt for name, r in results.items()}
-                for a, results in self.wcrt.items()
-            },
-            "status": {
-                str(a.value): {name: r.status for name, r in results.items()}
-                for a, results in self.wcrt.items()
-            },
-            "schedulable": {
-                str(a.value): self.schedulable(a) for a in self.wcrt
-            },
-            "soundness": self.soundness,
-            "events": [
-                [e.stage, e.budget, e.reason, e.fallback] for e in self.events
-            ],
-        }
-
-    def signature(self) -> str:
-        """Canonical JSON of every analysis *result* this state carries.
-
-        Excludes timing, invalidation counters and iteration histories —
-        everything an incremental recompute is allowed to differ in.  The
-        equivalence suite asserts byte-identity of this string against a
-        cold session's.
-        """
-        return json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
-
-    def to_dict(self) -> dict:
-        payload = self._payload()
-        payload.update(
-            label=self.label,
-            elapsed_seconds=self.elapsed_seconds,
-            invalidated=dict(self.invalidated),
-            reused=dict(self.reused),
-            warm_started=self.warm_started,
-        )
-        return payload
-
-
 class WhatIfSession:
     """An editable, incrementally re-analysed system.
 
@@ -402,57 +302,49 @@ class WhatIfSession:
         jobs: int = 1,
         pool: "WarmPool | None" = None,
         store: "ArtifactStore | None" = None,
-        max_steps: int = 10_000_000,
     ):
-        self._exp_spec, self._fuzz_spec = _resolve_base(base)
+        exp_spec, self._fuzz_spec = resolve_base(base)
         self.budget = budget
         self.path_engine = path_engine
         self.jobs = jobs
         self._pool = pool
         self._own_pool = None
-        self._max_steps = max_steps
+        self._mumbs_mode = mumbs_mode
         self._store = store if store is not None else ArtifactStore(
             directory=None, memory_slots=1024
         )
-        self._period_overrides = dict(period_overrides or {})
-        if self._exp_spec is not None:
-            self._mumbs_mode = mumbs_mode or "paper"
-            self._context_switch = self._exp_spec.context_switch_cycles
-            self._config = cache if cache is not None else CacheConfig.scaled_8k(
-                20 if miss_penalty is None else miss_penalty
-            )
-        else:
-            spec_cache = self._fuzz_spec.cache
-            self._mumbs_mode = mumbs_mode or "per_point"
-            self._context_switch = self._fuzz_spec.context_switch
-            if cache is not None:
-                self._config = cache
-            else:
-                self._config = CacheConfig(
-                    num_sets=spec_cache.num_sets,
-                    ways=spec_cache.ways,
-                    line_size=spec_cache.line_size,
-                    miss_penalty=(
-                        spec_cache.miss_penalty
-                        if miss_penalty is None
-                        else miss_penalty
-                    ),
-                    policy=spec_cache.policy,
-                    write_back=spec_cache.write_back,
-                )
-        self._workloads = None
-        self._layouts: dict = {}
-        self._scenarios: dict = {}
-        self._order: tuple = ()
+        self._placed = place(
+            exp_spec or self._fuzz_spec,
+            period_overrides=dict(period_overrides or {}),
+        )
+        #: The current cache configuration.
+        self.config = (
+            cache if cache is not None else self._placed.config(miss_penalty)
+        )
         self._assignment = None
-        self._rebuild_structure()
         # Previous-state snapshots driving invalidation accounting and
         # WCRT warm starts.
         self._prev_subkeys: dict = {}
         self._prev_artifacts: dict = {}
         self._prev_pair_keys: dict = {}
         self._wcrt_memo: dict = {}
-        self._last: "WhatIfResult | None" = None
+        self._last: "SystemResult | None" = None
+        #: The live CRPD analyzer behind the current state.
+        self.analyzer = None
+
+    @property
+    def order(self) -> tuple:
+        """Task names, highest priority first."""
+        return self._placed.order
+
+    @property
+    def layouts(self) -> dict:
+        """The current placement, task name -> ProgramLayout."""
+        return self._placed.layouts
+
+    @property
+    def context_switch(self) -> int:
+        return self._placed.context_switch
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "WhatIfSession":
@@ -477,61 +369,16 @@ class WhatIfSession:
         return self._own_pool
 
     # -- structure -----------------------------------------------------
-    def _rebuild_structure(self) -> None:
-        from repro.program.layout import SystemLayout, apply_assignment
-
-        if self._exp_spec is not None:
-            spec = self._exp_spec
-            if self._workloads is None:
-                self._workloads = {
-                    name: build() for name, build in spec.builders.items()
-                }
-            layout = SystemLayout(stride=spec.stride)
-            for name in spec.placement_order:
-                layout.place(self._workloads[name].program)
-            self._order = tuple(spec.priority_order)
-            self._layouts = {name: layout.layout_of(name) for name in self._order}
-            self._scenarios = {
-                name: self._workloads[name].scenario_map() for name in self._order
-            }
-        else:
-            from repro.fuzz.build import (
-                _stagger_stride,
-                build_program,
-                scenarios_for,
-            )
-
-            spec = self._fuzz_spec
-            built = [
-                build_program(task.program, f"t{index}")
-                for index, task in enumerate(spec.tasks)
-            ]
-            stride = (
-                _stagger_stride([program for program, _ in built])
-                if spec.stagger
-                else None
-            )
-            layout = SystemLayout(stride=stride)
-            self._order = tuple(f"t{index}" for index in range(len(spec.tasks)))
-            self._layouts = {}
-            self._scenarios = {}
-            for (program, inputs), name in zip(built, self._order):
-                self._layouts[name] = layout.place(program)
-                self._scenarios[name] = scenarios_for(inputs)
-        if self._assignment is not None:
-            programs = {
-                name: self._layouts[name].program for name in self._order
-            }
-            self._layouts = apply_assignment(programs, self._assignment)
-
     def layout_assignment(self):
         """The current placement as a hashable
         :class:`~repro.program.layout.LayoutAssignment`."""
         from repro.program.layout import assignment_of
 
-        return assignment_of(self._layouts)
+        return assignment_of(self._placed.layouts)
 
-    def set_assignment(self, assignment, label: "str | None" = None) -> WhatIfResult:
+    def set_assignment(
+        self, assignment, label: "str | None" = None
+    ) -> SystemResult:
         """Jump the session's layout to *assignment* and re-analyse.
 
         The optimizer's bulk entry: rather than expressing a candidate as
@@ -542,69 +389,23 @@ class WhatIfSession:
         whose placement actually differs recompute their trace chain.
         """
         self._set_assignment(assignment)
-        return self._run_state(label or "assignment")
+        return self._evaluate(label or "assignment")
 
     def _set_assignment(self, assignment) -> None:
-        from repro.program.layout import apply_assignment
-
-        programs = {name: self._layouts[name].program for name in self._order}
         # Validate (and build) before mutating: a LayoutError here must
         # leave the session exactly as it was.
-        layouts = apply_assignment(programs, assignment)
-        missing = [name for name in self._order if name not in layouts]
-        if missing:
-            from repro.program.layout import LayoutError
-
-            raise LayoutError(f"assignment is missing tasks {missing}")
+        self._placed = self._placed.with_assignment(assignment)
         self._assignment = assignment
-        self._layouts = {name: layouts[name] for name in self._order}
-
-    def _task_specs(self, artifacts: dict) -> list[TaskSpec]:
-        specs = []
-        if self._exp_spec is not None:
-            priorities = self._exp_spec.priorities()
-            for name in self._order:
-                period = self._period_overrides.get(
-                    name, self._exp_spec.periods[name]
-                )
-                specs.append(
-                    TaskSpec(
-                        name=name,
-                        wcet=artifacts[name].wcet.cycles,
-                        period=period,
-                        priority=priorities[name],
-                    )
-                )
-            return specs
-        for index, name in enumerate(self._order):
-            task_def = self._fuzz_spec.tasks[index]
-            wcet = artifacts[name].wcet.cycles
-            period = self._period_overrides.get(
-                name, max(wcet * task_def.period_mult, wcet + 1)
-            )
-            jitter = min(
-                wcet * task_def.jitter_pct // 100, max(period - wcet, 0)
-            )
-            specs.append(
-                TaskSpec(
-                    name=name,
-                    wcet=wcet,
-                    period=period,
-                    priority=index + 1,
-                    jitter=jitter,
-                )
-            )
-        return specs
 
     # -- edits ---------------------------------------------------------
-    def apply(self, edit: "Edit | str") -> WhatIfResult:
+    def apply(self, edit: "Edit | str") -> SystemResult:
         """Apply one edit and return the fully re-analysed state."""
         if isinstance(edit, str):
             edit = parse_edit(edit)
         self._apply_edit(edit)
-        return self._run_state(edit.describe())
+        return self._evaluate(edit.describe())
 
-    def apply_all(self, edits) -> "list[WhatIfResult]":
+    def apply_all(self, edits) -> "list[SystemResult]":
         """Apply a batch of edits, rejecting conflicting pairs up front.
 
         Raises :class:`~repro.errors.ConfigError` (before any edit runs)
@@ -617,34 +418,29 @@ class WhatIfSession:
         check_edit_conflicts(parsed)
         return [self.apply(edit) for edit in parsed]
 
-    def result(self) -> WhatIfResult:
+    def result(self) -> SystemResult:
         """The current state, analysing the base on first call."""
         if self._last is None:
-            return self._run_state("base")
+            return self._evaluate("base")
         return self._last
 
     def _apply_edit(self, edit: Edit) -> None:
-        from dataclasses import replace
-
         if edit.kind == "penalty":
             if edit.value < 0:
                 raise ConfigError(f"miss penalty must be >= 0, got {edit.value}")
-            self._config = replace(self._config, miss_penalty=edit.value)
+            self.config = replace(self.config, miss_penalty=edit.value)
             return
         if edit.kind == "geometry":
             sets, ways, line = edit.value
-            self._config = replace(
-                self._config, num_sets=sets, ways=ways, line_size=line
+            self.config = replace(
+                self.config, num_sets=sets, ways=ways, line_size=line
             )
             return
         if edit.kind == "period":
-            if edit.task not in self._order:
-                raise ConfigError(
-                    f"unknown task {edit.task!r}; tasks are {list(self._order)}"
-                )
+            self._check_task(edit.task)
             if edit.value < 1:
                 raise ConfigError(f"period must be >= 1, got {edit.value}")
-            self._period_overrides[edit.task] = edit.value
+            self._placed.period_overrides[edit.task] = edit.value
             return
         if edit.kind == "array":
             if self._fuzz_spec is None:
@@ -652,13 +448,10 @@ class WhatIfSession:
                     "array edits need a fuzz SystemSpec base (experiment "
                     "workloads have fixed programs)"
                 )
-            if edit.task not in self._order:
-                raise ConfigError(
-                    f"unknown task {edit.task!r}; tasks are {list(self._order)}"
-                )
+            self._check_task(edit.task)
             from repro.fuzz.spec import replace_task
 
-            index = self._order.index(edit.task)
+            index = self.order.index(edit.task)
             task_def = self._fuzz_spec.tasks[index]
             arrays = list(task_def.program.arrays)
             if not 0 <= edit.index < len(arrays):
@@ -670,23 +463,29 @@ class WhatIfSession:
                 raise ConfigError(f"array words must be >= 1, got {edit.value}")
             arrays[edit.index] = edit.value
             program = replace(task_def.program, arrays=tuple(arrays))
-            self._fuzz_spec = replace_task(
+            spec = replace_task(
                 self._fuzz_spec, index, replace(task_def, program=program)
             )
-            self._rebuild_structure()
+            # A footprint edit can move every task (the stagger stride
+            # follows the largest program): re-place the whole system.
+            self._placed = place(
+                spec, self._assignment, self._placed.period_overrides
+            )
+            self._fuzz_spec = spec
             return
         if edit.kind in ("code", "data", "color", "swap"):
             self._apply_layout_edit(edit)
             return
         raise ConfigError(f"unknown edit kind {edit.kind!r}")
 
-    def _apply_layout_edit(self, edit: Edit) -> None:
-        from dataclasses import replace
-
-        if edit.task not in self._order:
+    def _check_task(self, name: str) -> None:
+        if name not in self.order:
             raise ConfigError(
-                f"unknown task {edit.task!r}; tasks are {list(self._order)}"
+                f"unknown task {name!r}; tasks are {list(self.order)}"
             )
+
+    def _apply_layout_edit(self, edit: Edit) -> None:
+        self._check_task(edit.task)
         assignment = self.layout_assignment()
         placement = assignment.placement(edit.task)
         if edit.kind in ("code", "data"):
@@ -698,14 +497,14 @@ class WhatIfSession:
                 replace(placement, **{f"{edit.kind}_base": edit.value})
             )
         elif edit.kind == "color":
-            program = self._layouts[edit.task].program
+            program = self.layouts[edit.task].program
             names = list(program.arrays)
             if not 0 <= edit.index < len(names):
                 raise ConfigError(
                     f"task {edit.task!r} has arrays 0..{len(names) - 1}, "
                     f"got index {edit.index}"
                 )
-            colors = self._config.page_colors
+            colors = self.config.page_colors
             if not 0 <= edit.value < colors:
                 raise ConfigError(
                     f"color must be in 0..{colors - 1} for this geometry, "
@@ -719,10 +518,7 @@ class WhatIfSession:
             )
         else:  # swap
             other_name = edit.value
-            if other_name not in self._order:
-                raise ConfigError(
-                    f"unknown task {other_name!r}; tasks are {list(self._order)}"
-                )
+            self._check_task(other_name)
             if other_name == edit.task:
                 raise ConfigError(f"cannot swap task {edit.task!r} with itself")
             other = assignment.placement(other_name)
@@ -751,61 +547,35 @@ class WhatIfSession:
         never moves) it — exactly how a linker-placed symbol behaves.
         """
         top = 0
-        for layout in self._layouts.values():
+        for layout in self.layouts.values():
             for _, hi, _ in layout.intervals():
                 top = max(top, hi)
-        span = self._config.index_span
+        span = self.config.index_span
         aligned = (top + span - 1) // span * span
-        return aligned + color * self._config.color_bytes
+        return aligned + color * self.config.color_bytes
 
     # -- analysis ------------------------------------------------------
-    def _run_state(self, label: str) -> WhatIfResult:
+    def _evaluate(self, label: str) -> SystemResult:
         started = time.perf_counter()
-        invalidated = {node: 0 for node in GRAPH_NODES}
-        reused = {node: 0 for node in GRAPH_NODES}
         with _OBS.tracer.span("whatif.edit", edit=label) as span:
-            ledger = DegradationLedger()
-            clock = self.budget.start() if self.budget is not None else None
-            artifacts = {
-                name: analyze_task(
-                    self._layouts[name],
-                    self._scenarios[name],
-                    self._config,
-                    max_steps=self._max_steps,
-                    budget=self.budget,
-                    ledger=ledger,
-                    clock=clock,
-                    store=self._store,
-                )
-                for name in self._order
-            }
-            analyzer = CRPDAnalyzer(
-                artifacts,
-                mumbs_mode=self._mumbs_mode,
+            result = evaluate(
+                self._placed,
+                self.config,
                 budget=self.budget,
-                ledger=ledger,
-                clock=clock,
-                path_engine=self.path_engine,
                 store=self._store,
+                mumbs_mode=self._mumbs_mode,
+                path_engine=self.path_engine,
+                jobs=self.jobs,
+                pool=self._pool_handle(),
+                wcrt_memo=self._wcrt_memo,
+                key_diff=self._diff_artifacts,
+                label=label,
             )
-            estimates = analyzer.estimate_all_pairs(
-                list(self._order), jobs=self.jobs, pool=self._pool_handle()
-            )
-            self._diff_artifacts(artifacts, analyzer, invalidated, reused)
-            system = TaskSystem(tasks=self._task_specs(artifacts))
-            # The sensitivity helpers (critical scaling factor, breakdown
-            # miss penalty) re-score the *current* state; keep its
-            # analyzer/system reachable for them and for the optimizer's
-            # breakdown objective.
-            self._last_analyzer = analyzer
-            self._last_system = system
-            wcrt, warm_started = self._wcrt_stage(
-                system, analyzer, ledger, invalidated, reused
-            )
-            elapsed = time.perf_counter() - started
+            result.elapsed_seconds = time.perf_counter() - started
+            invalidated, reused = result.invalidated, result.reused
             span.set(
-                elapsed_ms=round(elapsed * 1e3, 3),
-                warm_started=warm_started,
+                elapsed_ms=round(result.elapsed_seconds * 1e3, 3),
+                warm_started=result.warm_started,
                 **{f"invalidated_{k}": v for k, v in invalidated.items()},
             )
             if _OBS.enabled:
@@ -818,35 +588,16 @@ class WhatIfSession:
                         )
                     if reused[node]:
                         metrics.counter(f"whatif.reused.{node}").inc(reused[node])
-        specs = {task.name: task for task in system.tasks}
-        result = WhatIfResult(
-            label=label,
-            config=self._config,
-            periods={name: specs[name].period for name in self._order},
-            jitters={name: specs[name].jitter for name in self._order},
-            wcet={name: artifacts[name].wcet.cycles for name in self._order},
-            estimates=estimates,
-            wcrt=wcrt,
-            soundness=ledger.soundness,
-            events=tuple(ledger.events),
-            elapsed_seconds=elapsed,
-            invalidated=invalidated,
-            reused=reused,
-            warm_started=warm_started,
-        )
         self._last = result
         return result
 
-    def _diff_artifacts(
-        self,
-        artifacts: dict,
-        analyzer: CRPDAnalyzer,
-        invalidated: dict,
-        reused: dict,
-    ) -> None:
+    def _diff_artifacts(self, analyzer, invalidated: dict, reused: dict) -> None:
         """Key-diff the new state's sub-artifacts against the previous one."""
+        self.analyzer = analyzer
+        artifacts = analyzer.tasks
+        order = self.order
         new_subkeys = {}
-        for name in self._order:
+        for name in order:
             new = dict(artifacts[name].subkeys or {})
             old = self._prev_subkeys.get(name, {})
             new_subkeys[name] = new
@@ -860,8 +611,8 @@ class WhatIfSession:
             else:
                 invalidated["task"] += 1
         new_pair_keys = {}
-        for low_index, preempted in enumerate(self._order):
-            for preempting in self._order[:low_index]:
+        for low_index, preempted in enumerate(order):
+            for preempting in order[:low_index]:
                 key = analyzer._pair_store_key(preempted, preempting)
                 new_pair_keys[(preempted, preempting)] = key
                 if key is not None and key == self._prev_pair_keys.get(
@@ -871,162 +622,5 @@ class WhatIfSession:
                 else:
                     invalidated["pair"] += 1
         self._prev_subkeys = new_subkeys
-        self._prev_artifacts = dict(artifacts)
+        self._prev_artifacts = artifacts
         self._prev_pair_keys = new_pair_keys
-
-    def _max_iterations(self) -> int:
-        if self.budget is not None:
-            return min(1000, self.budget.max_wcrt_iterations)
-        return 1000
-
-    def _wcrt_stage(
-        self,
-        system: TaskSystem,
-        analyzer: CRPDAnalyzer,
-        ledger: DegradationLedger,
-        invalidated: dict,
-        reused: dict,
-    ):
-        """Eq. 7 fixpoints per approach, memoised and warm-started.
-
-        A (approach, task) node whose *inputs* — own WCET/period/jitter,
-        context switch and every interferer's (period, jitter,
-        per-preemption cost) — are unchanged reuses the previous result
-        outright, replaying its divergence events so the ledger matches a
-        cold run's.  Otherwise the iteration warm-starts from the old
-        fixpoint when the new recurrence provably dominates the old one
-        (see the module docstring), falling back to a cold start whenever
-        the dominance check or the iteration-budget guard fails.
-        """
-        max_iterations = self._max_iterations()
-        ccs = self._context_switch
-        results: dict = {}
-        warm_started = 0
-        for approach in ALL_APPROACHES:
-            def cpre(low: str, high: str, _approach=approach) -> int:
-                return analyzer.cpre(low, high, _approach)
-
-            per_approach: dict = {}
-            for task in system.tasks:
-                interferers = system.higher_priority(task.name)
-                sig = (
-                    task.wcet,
-                    task.period,
-                    task.jitter,
-                    ccs,
-                    tuple(
-                        (
-                            other.name,
-                            other.period,
-                            other.jitter,
-                            other.wcet + cpre(task.name, other.name) + 2 * ccs,
-                        )
-                        for other in interferers
-                    ),
-                )
-                memo = self._wcrt_memo.get((approach, task.name))
-                if memo is not None and memo["sig"] == sig:
-                    result = memo["result"]
-                    for event in memo["events"]:
-                        ledger.events.append(event)
-                    reused["wcrt"] += 1
-                    per_approach[task.name] = result
-                    continue
-                invalidated["wcrt"] += 1
-                result = None
-                if memo is not None and _warm_start_sound(memo["sig"], sig, memo):
-                    warm = compute_task_wcrt(
-                        system,
-                        task.name,
-                        cpre=cpre,
-                        context_switch=ccs,
-                        max_iterations=max_iterations,
-                        stop_at_deadline=False,
-                        initial_window=memo["window"],
-                    )
-                    if (
-                        warm.converged
-                        and memo["iter_bound"] + warm.iteration_count
-                        <= max_iterations
-                    ):
-                        result = warm
-                        iter_bound = memo["iter_bound"] + warm.iteration_count
-                        events: tuple = ()
-                        warm_started += 1
-                if result is None:
-                    before = len(ledger.events)
-                    result = compute_task_wcrt(
-                        system,
-                        task.name,
-                        cpre=cpre,
-                        context_switch=ccs,
-                        max_iterations=max_iterations,
-                        stop_at_deadline=False,
-                        budget=self.budget,
-                        ledger=ledger,
-                    )
-                    events = tuple(ledger.events[before:])
-                    iter_bound = result.iteration_count
-                self._wcrt_memo[(approach, task.name)] = {
-                    "sig": sig,
-                    "result": result,
-                    "events": events,
-                    "window": result.wcrt - task.jitter,
-                    "iter_bound": iter_bound,
-                }
-                per_approach[task.name] = result
-            results[approach] = per_approach
-        return results, warm_started
-
-
-def _warm_start_sound(old_sig: tuple, new_sig: tuple, memo: dict) -> bool:
-    """True when iterating from the old fixpoint provably reaches the new one.
-
-    Requires the old iteration to have converged (a diverged window is
-    not a fixpoint) and the new recurrence to dominate the old pointwise:
-    own WCET non-decreasing and, interferer by interferer (same set, same
-    order), period non-increasing, jitter non-decreasing and
-    per-preemption cost (WCET + Cpre + 2 Ccs) non-decreasing.  Then
-    ``w_old = lfp(f_old) <= lfp(f_new)`` and monotone iteration from
-    ``w_old`` converges to ``lfp(f_new)`` exactly.
-    """
-    result: WCRTResult = memo["result"]
-    if not result.converged:
-        return False
-    old_wcet, _, _, _, old_interferers = old_sig
-    new_wcet, _, _, _, new_interferers = new_sig
-    if new_wcet < old_wcet:
-        return False
-    if len(old_interferers) != len(new_interferers):
-        return False
-    for old_term, new_term in zip(old_interferers, new_interferers):
-        o_name, o_period, o_jitter, o_cost = old_term
-        n_name, n_period, n_jitter, n_cost = new_term
-        if o_name != n_name:
-            return False
-        if n_period > o_period or n_jitter < o_jitter or n_cost < o_cost:
-            return False
-    return True
-
-
-def _resolve_base(base):
-    """``(experiment_spec, fuzz_spec)`` — exactly one is non-None."""
-    from repro.experiments.setup import ALL_SPECS, ExperimentSpec
-    from repro.fuzz.spec import SystemSpec
-
-    if isinstance(base, str):
-        for spec in ALL_SPECS:
-            if spec.key == base:
-                return spec, None
-        raise ConfigError(
-            f"unknown experiment {base!r}; choose from "
-            f"{[spec.key for spec in ALL_SPECS]}"
-        )
-    if isinstance(base, ExperimentSpec):
-        return base, None
-    if isinstance(base, SystemSpec):
-        return None, base
-    raise ConfigError(
-        f"what-if base must be an experiment key, ExperimentSpec or fuzz "
-        f"SystemSpec, got {type(base).__name__}"
-    )

@@ -11,7 +11,6 @@ cache hits.
 
 from repro.batch.engine import (
     BatchResult,
-    PointResult,
     SweepPoint,
     analyze_batch,
     sweep_grid,
@@ -20,7 +19,6 @@ from repro.batch.pool import WarmPool, derived, in_worker
 
 __all__ = [
     "BatchResult",
-    "PointResult",
     "SweepPoint",
     "WarmPool",
     "analyze_batch",

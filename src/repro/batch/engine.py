@@ -25,30 +25,27 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.analysis.crpd import ALL_APPROACHES, CRPDAnalyzer, PreemptionEstimate
+from repro.analysis.pipeline import SystemResult, evaluate, place, resolve_base
 from repro.cache.config import CacheConfig
-from repro.errors import ConfigError
 from repro.obs import STATE as _OBS
-from repro.wcrt.response_time import compute_system_wcrt
-from repro.wcrt.task import TaskSpec, TaskSystem
 
 if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore
     from repro.batch.pool import WarmPool
     from repro.guard.budget import AnalysisBudget
-    from repro.guard.ledger import DegradationEvent
     from repro.program.layout import LayoutAssignment
 
 __all__ = [
     "BatchResult",
-    "PointResult",
     "SweepPoint",
     "analyze_batch",
     "sweep_grid",
+    "sweep_row",
 ]
 
 
@@ -93,73 +90,50 @@ class SweepPoint:
         return label
 
 
-@dataclass
-class PointResult:
-    """Everything one sweep point produces, compact enough to ship.
-
-    ``wcrt`` maps approach value (1-4) to per-task response times;
-    ``schedulable`` carries the per-approach verdict.  ``events`` are the
-    degradation events this point's analysis recorded (replayed from the
-    store on warm runs, so warm and cold batches report identically).
-    """
-
-    point: SweepPoint
-    wcet: dict[str, int]
-    estimates: list[PreemptionEstimate]
-    wcrt: dict[int, dict[str, int]]
-    schedulable: dict[int, bool]
-    soundness: str
-    events: tuple["DegradationEvent", ...]
-    analysis_seconds: float
-    #: Store lookups this point answered warm/cold (0/0 without a store).
-    store_hits: int = 0
-    store_misses: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary (the ``repro sweep`` output row)."""
-        layout = (
-            self.point.layout.to_dict() if self.point.layout is not None else None
-        )
-        return {
-            "experiment": self.point.experiment,
-            "label": self.point.label(),
-            **({"layout": layout} if layout is not None else {}),
-            "miss_penalty": self.point.config().miss_penalty,
-            "geometry": {
-                "num_sets": self.point.config().num_sets,
-                "ways": self.point.config().ways,
-                "line_size": self.point.config().line_size,
-            },
-            "wcet": dict(self.wcet),
-            "lines": {
-                f"{e.preempted}<-{e.preempting}": {
-                    f"approach{a.value}": e.lines[a] for a in e.lines
-                }
-                for e in self.estimates
-            },
-            "wcrt": {
-                f"approach{approach}": dict(per_task)
-                for approach, per_task in self.wcrt.items()
-            },
-            "schedulable": {
-                f"approach{approach}": verdict
-                for approach, verdict in self.schedulable.items()
-            },
-            "soundness": self.soundness,
-            "degradations": len(self.events),
-            "analysis_seconds": self.analysis_seconds,
-            # Per-point store traffic: a regressing point is attributable
-            # (cold recompute vs cache-answered) straight from the sweep
-            # JSON, no trace file needed.
-            "store": {"hits": self.store_hits, "misses": self.store_misses},
-        }
+def sweep_row(result: "SystemResult") -> dict:
+    """One ``repro sweep --json`` row: a batch result keyed by approach."""
+    point = result.point
+    config = result.config
+    return {
+        "experiment": point.experiment,
+        "label": result.label,
+        **({"layout": point.layout.to_dict()} if point.layout is not None else {}),
+        "miss_penalty": config.miss_penalty,
+        "geometry": {
+            "num_sets": config.num_sets,
+            "ways": config.ways,
+            "line_size": config.line_size,
+        },
+        "wcet": dict(result.wcet),
+        "lines": {
+            f"{e.preempted}<-{e.preempting}": {
+                f"approach{a.value}": e.lines[a] for a in e.lines
+            }
+            for e in result.estimates
+        },
+        "wcrt": {
+            f"approach{approach}": per_task
+            for approach, per_task in result.wcrt.items()
+        },
+        "schedulable": {
+            f"approach{approach}": verdict
+            for approach, verdict in result.schedulable.items()
+        },
+        "soundness": result.soundness,
+        "degradations": len(result.events),
+        "analysis_seconds": result.elapsed_seconds,
+        # Per-point store traffic: a regressing point is attributable
+        # (cold recompute vs cache-answered) straight from the sweep
+        # JSON, no trace file needed.
+        "store": {"hits": result.store_hits, "misses": result.store_misses},
+    }
 
 
 @dataclass
 class BatchResult:
     """Results of one batch, aligned with the requested point order."""
 
-    results: list[PointResult]
+    results: "list[SystemResult]"
     unique_points: int
     deduplicated: int
     elapsed_seconds: float
@@ -194,7 +168,7 @@ class BatchResult:
     def to_dict(self) -> dict:
         return {
             "summary": self.summary(),
-            "points": [result.to_dict() for result in self.results],
+            "points": [sweep_row(result) for result in self.results],
         }
 
 
@@ -243,7 +217,8 @@ def analyze_batch(
     """Analyse every sweep point; results in request order.
 
     Identical points are analysed once and share one
-    :class:`PointResult` (dedup happens before any work is scheduled).
+    :class:`~repro.analysis.pipeline.SystemResult` (dedup happens before
+    any work is scheduled).
     ``jobs > 1`` fans unique points out across a
     :class:`~repro.batch.pool.WarmPool` — one shipped context per
     experiment, workers' intern tables and store handles warm across
@@ -253,15 +228,9 @@ def analyze_batch(
     computation; analysis errors propagate unchanged.
     """
     from repro.batch.pool import WarmPool
-    from repro.experiments.setup import ALL_SPECS
 
-    specs = {spec.key: spec for spec in ALL_SPECS}
-    for point in points:
-        if point.experiment not in specs:
-            raise ConfigError(
-                f"unknown experiment {point.experiment!r}; "
-                f"expected one of {sorted(specs)}"
-            )
+    for experiment in {point.experiment for point in points}:
+        resolve_base(experiment)  # unknown keys fail before any work
     started = perf_counter()
     unique: dict[SweepPoint, int] = {}
     for point in points:
@@ -282,24 +251,38 @@ def analyze_batch(
             reuse_before = pool.reuse
             ship_before = pool.ship_bytes
             fallbacks_before = pool.fallbacks
-            unique_results: list[PointResult] = []
-            by_spec: dict[str, list[SweepPoint]] = {}
+            unique_results: list[SystemResult] = []
+            by_experiment: dict[str, list[SweepPoint]] = {}
             for point in order:
-                by_spec.setdefault(point.experiment, []).append(point)
-            results_by_point: dict[SweepPoint, PointResult] = {}
-            store_directory = (
-                store.directory if store is not None and store.enabled else None
-            )
+                by_experiment.setdefault(point.experiment, []).append(point)
+            results_by_point: dict[SweepPoint, SystemResult] = {}
+            if store is not None and not store.enabled:
+                store = None
+            # The serial path evaluates against the caller's store handle
+            # itself (a memory-only store included); workers open their
+            # own handle on its directory.  The handle never rides in the
+            # seeded context, which is pickled on every seed.
+            point_task = _point_task
+            store_directory = None
+            if pool.jobs <= 1:
+                point_task = partial(_point_task, store=store)
+            elif store is not None:
+                store_directory = store.directory
             # One shipped context per experiment; every point of that
-            # experiment is an item against it.  Specs iterate in the
-            # deterministic order their points first appeared.
-            for key, spec_points in by_spec.items():
-                context = _spec_context(
-                    specs[key], store_directory, budget, path_engine
+            # experiment is an item against it.  Experiments iterate in
+            # the deterministic order their points first appeared.
+            for key, experiment_points in by_experiment.items():
+                context = (
+                    "batch.point",
+                    place(key),
+                    store_directory,
+                    budget,
+                    path_engine,
+                    _OBS.enabled,
                 )
                 token = pool.seed(context)
                 for result, records, snapshot in pool.map(
-                    _point_task, spec_points, context=token
+                    point_task, experiment_points, context=token
                 ):
                     results_by_point[result.point] = result
                     unique_results.append(result)
@@ -334,76 +317,12 @@ def analyze_batch(
             own_pool.close()
 
 
-def _spec_context(
-    spec, store_directory, budget, path_engine
-) -> tuple:
-    """The invariant per-experiment state shipped to the pool once."""
-    from repro.program.layout import SystemLayout
+def _point_task(context: tuple, point: SweepPoint, store=None):
+    """Evaluate one sweep point end to end (worker or serial path)."""
+    from repro.batch.pool import derived, in_worker
 
-    workloads = {name: build() for name, build in spec.builders.items()}
-    layout = SystemLayout(stride=spec.stride)
-    for name in spec.placement_order:
-        layout.place(workloads[name].program)
-    return (
-        "batch.point",
-        spec.key,
-        {name: layout.layout_of(name) for name in spec.priority_order},
-        {name: workloads[name].scenario_map() for name in spec.priority_order},
-        store_directory,
-        budget,
-        path_engine,
-        _OBS.enabled,
-    )
-
-
-def _point_task(context: tuple, point: SweepPoint):
-    """Analyse one sweep point end to end (worker or serial fallback)."""
-    from repro.batch.pool import in_worker
-
-    (_, _, _, _, _, _, _, obs_enabled) = context
-    if obs_enabled and in_worker():
-        # Fresh per-point observability: spans ship back to the parent
-        # and are re-adopted under its batch span, in point order.
-        from repro.obs import install, uninstall
-
-        tracer, metrics = install()
-        try:
-            result = _analyze_point(context, point)
-        finally:
-            uninstall()
-        return result, tuple(tracer.records), metrics.to_dict()
-    return _analyze_point(context, point), (), None
-
-
-def _analyze_point(context: tuple, point: SweepPoint) -> PointResult:
-    from repro.analysis.artifacts import analyze_task
-    from repro.batch.pool import derived
-    from repro.experiments.setup import ALL_SPECS
-    from repro.guard.ledger import DegradationLedger
-
-    (
-        _,
-        spec_key,
-        layouts,
-        scenario_maps,
-        store_directory,
-        budget,
-        path_engine,
-        _,
-    ) = context
-    spec = {s.key: s for s in ALL_SPECS}[spec_key]
-    config = point.config()
-    if point.layout is not None:
-        from repro.program.layout import apply_assignment
-
-        # Re-place the shipped programs at the point's explicit
-        # assignment; overlap raises LayoutError before any analysis.
-        layouts = apply_assignment(
-            {name: layouts[name].program for name in spec.priority_order},
-            point.layout,
-        )
-    store = None
-    if store_directory is not None:
+    _, placed, store_directory, budget, path_engine, obs_enabled = context
+    if store is None and store_directory is not None:
         from repro.analysis.store import ArtifactStore
 
         # One handle per worker per context: memory LRU (trace bundles,
@@ -413,83 +332,37 @@ def _analyze_point(context: tuple, point: SweepPoint) -> PointResult:
             "batch.store",
             lambda: ArtifactStore(directory=store_directory),
         )
-    started = perf_counter()
-    hits_before = store.hits if store is not None else 0
-    misses_before = store.misses if store is not None else 0
-    ledger = DegradationLedger()
-    clock = budget.start() if budget is not None else None
+    if obs_enabled and in_worker():
+        # Fresh per-point observability: spans ship back to the parent
+        # and are re-adopted under its batch span, in point order.
+        from repro.obs import install, uninstall
+
+        tracer, metrics = install()
+        try:
+            result = _evaluate_point(placed, point, store, budget, path_engine)
+        finally:
+            uninstall()
+        return result, tuple(tracer.records), metrics.to_dict()
+    return _evaluate_point(placed, point, store, budget, path_engine), (), None
+
+
+def _evaluate_point(placed, point, store, budget, path_engine) -> "SystemResult":
+    if point.layout is not None:
+        # Re-place the shipped programs at the point's explicit
+        # assignment; overlap raises LayoutError before any analysis.
+        placed = placed.with_assignment(point.layout)
+    label = point.label()
     with _OBS.tracer.span(
-        "batch.point", experiment=spec_key, label=point.label()
+        "batch.point", experiment=point.experiment, label=label
     ) as span:
-        artifacts = {
-            name: analyze_task(
-                layouts[name],
-                scenario_maps[name],
-                config,
-                budget=budget,
-                ledger=ledger,
-                clock=clock,
-                store=store,
-            )
-            for name in spec.priority_order
-        }
-        analyzer = CRPDAnalyzer(
-            artifacts,
-            mumbs_mode="paper",
+        result = evaluate(
+            placed,
+            point.config(),
             budget=budget,
-            ledger=ledger,
-            clock=clock,
-            path_engine=path_engine,
             store=store,
-        )
-        estimates = analyzer.estimate_all_pairs(list(spec.priority_order))
-        priorities = spec.priorities()
-        system = TaskSystem(
-            tasks=[
-                TaskSpec(
-                    name=name,
-                    wcet=artifacts[name].wcet.cycles,
-                    period=spec.periods[name],
-                    priority=priorities[name],
-                )
-                for name in spec.priority_order
-            ]
-        )
-        wcrt: dict[int, dict[str, int]] = {}
-        schedulable: dict[int, bool] = {}
-        for approach in ALL_APPROACHES:
-
-            def cpre(preempted: str, preempting: str, _approach=approach) -> int:
-                return analyzer.cpre(preempted, preempting, _approach)
-
-            system_wcrt = compute_system_wcrt(
-                system,
-                cpre=cpre,
-                context_switch=spec.context_switch_cycles,
-                stop_at_deadline=False,
-                budget=budget,
-                ledger=ledger,
-            )
-            wcrt[approach.value] = {
-                name: system_wcrt.wcrt(name) for name in spec.priority_order
-            }
-            schedulable[approach.value] = system_wcrt.schedulable
-        result = PointResult(
+            path_engine=path_engine,
+            label=label,
             point=point,
-            wcet={
-                name: artifacts[name].wcet.cycles
-                for name in spec.priority_order
-            },
-            estimates=estimates,
-            wcrt=wcrt,
-            schedulable=schedulable,
-            soundness=ledger.soundness,
-            events=tuple(ledger.events),
-            analysis_seconds=perf_counter() - started,
-            store_hits=(store.hits - hits_before) if store is not None else 0,
-            store_misses=(
-                store.misses - misses_before
-            ) if store is not None else 0,
         )
         span.set(soundness=result.soundness)
     return result

@@ -316,8 +316,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _print_whatif_state(result) -> None:
     verdicts = " ".join(
-        f"a{approach.value}={'ok' if result.schedulable(approach) else 'MISS'}"
-        for approach in sorted(result.wcrt)
+        f"a{approach}={'ok' if ok else 'MISS'}"
+        for approach, ok in sorted(result.schedulable.items())
     )
     invalidated = result.invalidated
     print(

@@ -34,9 +34,9 @@ from repro.cache.state import CacheState
 from repro.guard.budget import AnalysisBudget
 from repro.guard.ledger import DegradationLedger
 from repro.obs import STATE as _OBS
-from repro.program.layout import ProgramLayout, SystemLayout
+from repro.program.layout import ProgramLayout
 from repro.sched.simulator import SimulationResult, Simulator, TaskBinding
-from repro.wcrt.task import TaskSpec, TaskSystem
+from repro.wcrt.task import TaskSystem
 from repro.workloads.adpcm import build_adpcm_coder, build_adpcm_decoder
 from repro.workloads.base import Workload
 from repro.workloads.edge_detection import build_edge_detection
@@ -108,7 +108,8 @@ class ExperimentContext:
 
     spec: ExperimentSpec
     config: CacheConfig
-    workloads: dict[str, Workload]
+    #: Task name -> scenario name -> input map.
+    scenarios: dict[str, dict]
     layouts: dict[str, ProgramLayout]
     artifacts: dict[str, TaskArtifacts]
     crpd: CRPDAnalyzer
@@ -133,13 +134,12 @@ class ExperimentContext:
         """Simulator bindings, driving each task with its WCET scenario."""
         bindings = []
         for name in self.spec.priority_order:
-            workload = self.workloads[name]
             worst = self.artifacts[name].wcet.worst_scenario
             bindings.append(
                 TaskBinding(
                     spec=self.system.task(name),
                     layout=self.layouts[name],
-                    inputs=dict(workload.scenario(worst).inputs),
+                    inputs=dict(self.scenarios[name][worst]),
                 )
             )
         return bindings
@@ -273,15 +273,13 @@ def _build_context(
     pool: "WarmPool | None",
     span,
 ) -> ExperimentContext:
+    from repro.analysis.pipeline import analyze_tasks, crpd_analyzer, place
+
     started = perf_counter()
     config = cache if cache is not None else CacheConfig.scaled_8k(miss_penalty)
     ledger = DegradationLedger()
     clock = budget.start() if budget is not None else None
-    workloads = {name: build() for name, build in spec.builders.items()}
-    layout = SystemLayout(stride=spec.stride)
-    for name in spec.placement_order:
-        layout.place(workloads[name].program)
-    layouts = {name: layout.layout_of(name) for name in spec.priority_order}
+    placed = place(spec)
     if pool is not None or jobs > 1:
         from repro.batch.pool import WarmPool
 
@@ -294,8 +292,8 @@ def _build_context(
         shared = (
             "experiments.tasks",
             spec.key,
-            layouts,
-            {name: workloads[name].scenario_map() for name in spec.priority_order},
+            placed.layouts,
+            placed.scenarios,
             store_directory,
         )
         items = [
@@ -321,46 +319,32 @@ def _build_context(
             if own_pool is not None:
                 own_pool.close()
     else:
-        artifacts = {
-            name: analyze_task(
-                layouts[name],
-                workloads[name].scenario_map(),
-                config,
-                budget=budget,
-                ledger=ledger,
-                clock=clock,
-                store=store,
-            )
-            for name in spec.priority_order
-        }
-    priorities = spec.priorities()
-    tasks = [
-        TaskSpec(
-            name=name,
-            wcet=artifacts[name].wcet.cycles,
-            period=spec.periods[name],
-            priority=priorities[name],
+        artifacts = analyze_tasks(
+            placed, config, budget=budget, ledger=ledger, clock=clock, store=store
         )
-        for name in spec.priority_order
-    ]
     return ExperimentContext(
         spec=spec,
         config=config,
-        workloads=workloads,
-        layouts=layouts,
+        scenarios=placed.scenarios,
+        layouts=placed.layouts,
         artifacts=artifacts,
-        # Definition 4 verbatim, as the paper's tables use it.  The sound
-        # per_point variant is compared in the MUMBS ablation bench.
-        crpd=CRPDAnalyzer(
+        # The experiment's own MUMBS mode: Definition 4 verbatim, as the
+        # paper's tables use it.  The sound per_point variant is compared
+        # in the MUMBS ablation bench.
+        crpd=crpd_analyzer(
+            placed,
             artifacts,
-            mumbs_mode="paper",
             budget=budget,
             ledger=ledger,
             clock=clock,
             path_engine=path_engine,
             store=store,
         ),
-        system=TaskSystem(tasks=tasks),
+        system=TaskSystem(
+            tasks=placed.task_specs(
+                {name: artifacts[name].wcet.cycles for name in placed.order}
+            )
+        ),
         budget=budget,
         ledger=ledger,
         build_seconds=perf_counter() - started,

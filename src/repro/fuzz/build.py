@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.analysis.artifacts import TaskArtifacts, analyze_task
+from repro.analysis.artifacts import TaskArtifacts
 from repro.analysis.crpd import CRPDAnalyzer
 from repro.cache.config import CacheConfig
 from repro.fuzz.spec import (
@@ -188,67 +188,36 @@ def build_case(
     engine bug).  ``config`` overrides the spec's cache — the Cmiss
     monotonicity oracle uses it to re-analyse at a doubled penalty.
     """
-    if config is None:
-        config = CacheConfig(
-            num_sets=spec.cache.num_sets,
-            ways=spec.cache.ways,
-            line_size=spec.cache.line_size,
-            miss_penalty=spec.cache.miss_penalty,
-            policy=spec.cache.policy,
-            write_back=spec.cache.write_back,
-        )
-    built_programs: list[tuple[Program, dict[str, list[int]]]] = [
-        build_program(task.program, f"t{index}")
-        for index, task in enumerate(spec.tasks)
-    ]
-    stride = (
-        _stagger_stride([program for program, _ in built_programs])
-        if spec.stagger
-        else None
-    )
-    layout = SystemLayout(stride=stride)
-    placed = [layout.place(program) for program, _ in built_programs]
+    from repro.analysis.pipeline import analyze_tasks, crpd_analyzer, place
 
+    placed = place(spec)
+    if config is None:
+        config = placed.config()
     ledger = DegradationLedger()
     clock = budget.start() if budget is not None else None
-    tasks: list[BuiltTask] = []
-    artifacts: dict[str, TaskArtifacts] = {}
-    for index, (task_def, (program, inputs), program_layout) in enumerate(
-        zip(spec.tasks, built_programs, placed)
-    ):
-        scenarios = scenarios_for(inputs)
-        art = analyze_task(
-            program_layout,
-            scenarios,
-            config,
-            budget=budget,
-            ledger=ledger,
-            clock=clock,
-            store=store,
+    artifacts = analyze_tasks(
+        placed, config, budget=budget, ledger=ledger, clock=clock, store=store
+    )
+    system = TaskSystem(
+        tasks=placed.task_specs(
+            {name: artifacts[name].wcet.cycles for name in placed.order}
         )
-        artifacts[program.name] = art
-        wcet = art.wcet.cycles
-        period = max(wcet * task_def.period_mult, wcet + 1)
-        jitter = min(wcet * task_def.jitter_pct // 100, period - wcet)
-        tasks.append(
-            BuiltTask(
-                name=program.name,
-                program=program,
-                layout=program_layout,
-                inputs=inputs,
-                scenarios=scenarios,
-                artifacts=art,
-                spec=TaskSpec(
-                    name=program.name,
-                    wcet=wcet,
-                    period=period,
-                    priority=index + 1,
-                    jitter=jitter,
-                ),
-            )
+    )
+    tasks = [
+        BuiltTask(
+            name=name,
+            program=placed.layouts[name].program,
+            layout=placed.layouts[name],
+            # ``flag0`` is the base input map (the flag defaults to 0).
+            inputs=dict(placed.scenarios[name]["flag0"]),
+            scenarios=placed.scenarios[name],
+            artifacts=artifacts[name],
+            spec=system.task(name),
         )
-    system = TaskSystem(tasks=[task.spec for task in tasks])
-    analyzer = CRPDAnalyzer(
+        for name in placed.order
+    ]
+    analyzer = crpd_analyzer(
+        placed,
         artifacts,
         mumbs_mode=mumbs_mode,
         budget=budget,

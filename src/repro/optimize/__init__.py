@@ -17,7 +17,6 @@ from repro.optimize.search import (
     default_cache_budgets,
     optimize,
     payload_of_point,
-    payload_of_result,
     wcrt_score,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "default_cache_budgets",
     "optimize",
     "payload_of_point",
-    "payload_of_result",
     "wcrt_score",
 ]

@@ -39,7 +39,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.analysis.crpd import Approach
 from repro.analysis.sensitivity import critical_scaling_factor
 from repro.analysis.store import ArtifactStore
-from repro.analysis.whatif import WhatIfSession, _resolve_base
+from repro.analysis.pipeline import SystemResult, place, resolve_base
+from repro.analysis.whatif import WhatIfSession
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.obs import STATE as _OBS
@@ -57,32 +58,11 @@ OBJECTIVES = ("wcrt", "breakdown")
 COOLING = 0.95
 
 
-def payload_of_result(result) -> dict:
-    """A :class:`WhatIfResult`'s evaluation payload (see module doc)."""
-    return {
-        "wcet": {name: int(v) for name, v in result.wcet.items()},
-        "wcrt": {
-            str(a.value): {n: int(r.wcrt) for n, r in per.items()}
-            for a, per in result.wcrt.items()
-        },
-        "schedulable": {
-            str(a.value): result.schedulable(a) for a in result.wcrt
-        },
-    }
-
-
-def payload_of_point(point_result) -> dict:
-    """A batch :class:`PointResult` in the same payload shape."""
-    return {
-        "wcet": {name: int(v) for name, v in point_result.wcet.items()},
-        "wcrt": {
-            str(a): {n: int(v) for n, v in per.items()}
-            for a, per in point_result.wcrt.items()
-        },
-        "schedulable": {
-            str(a): bool(v) for a, v in point_result.schedulable.items()
-        },
-    }
+def payload_of_point(result: SystemResult) -> dict:
+    """The evaluation payload of a result (see module doc): the WCET,
+    WCRT and schedulability projection of :meth:`SystemResult.payload`."""
+    payload = result.payload()
+    return {key: payload[key] for key in ("wcet", "wcrt", "schedulable")}
 
 
 def wcrt_score(payload: dict, approach: Approach, periods: dict) -> int:
@@ -230,16 +210,12 @@ def optimize(
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     approach = Approach(approach)
-    exp_spec, fuzz_spec = _resolve_base(base)
+    exp_spec, fuzz_spec = resolve_base(base)
     base_obj = exp_spec if exp_spec is not None else fuzz_spec
     if store is None:
         store = ArtifactStore(directory=None, memory_slots=4096)
     if cache_budgets is None:
-        probe = WhatIfSession(
-            base_obj, miss_penalty=miss_penalty, store=store, budget=budget
-        )
-        cache_budgets = default_cache_budgets(probe._config)
-        probe.close()
+        cache_budgets = default_cache_budgets(place(base_obj).config(miss_penalty))
     cache_budgets = list(cache_budgets)
     per_budget_evals = max(1, budget_evals // len(cache_budgets))
 
@@ -263,9 +239,9 @@ def optimize(
         for budget_index, cache in enumerate(cache_budgets):
             budget_outcome = _optimize_budget(
                 base_obj,
-                exp_spec,
                 cache,
-                budget_index,
+                exp_spec=exp_spec,
+                budget_index=budget_index,
                 seed=seed,
                 eval_cap=per_budget_evals,
                 method=method,
@@ -303,26 +279,9 @@ def optimize(
 
 
 def _optimize_budget(
-    base_obj,
-    exp_spec,
-    cache: CacheConfig,
-    budget_index: int,
-    *,
-    seed,
-    eval_cap,
-    method,
-    objective,
-    approach,
-    restarts,
-    generation,
-    patience,
-    jobs,
-    pool,
-    store,
-    budget,
-    move_log,
+    base_obj, cache: CacheConfig, *, store, budget, jobs, pool, **search
 ) -> BudgetOutcome:
-    session = WhatIfSession(
+    with WhatIfSession(
         base_obj,
         cache=cache,
         store=store,
@@ -330,46 +289,27 @@ def _optimize_budget(
         jobs=jobs,
         budget=budget,
         path_engine="dense",
-    )
-    try:
-        return _search(
-            session,
-            exp_spec,
-            cache,
-            budget_index,
-            seed=seed,
-            eval_cap=eval_cap,
-            method=method,
-            objective=objective,
-            approach=approach,
-            restarts=restarts,
-            generation=generation,
-            patience=patience,
-            jobs=jobs,
-            pool=pool,
-            move_log=move_log,
-        )
-    finally:
-        session.close()
+    ) as session:
+        return _search(session, cache, jobs=jobs, pool=pool, **search)
 
 
 def _score(session, payload, objective, approach, periods):
     if objective == "wcrt":
         return wcrt_score(payload, approach, periods)
     csf = critical_scaling_factor(
-        session._last_system,
-        cpre=lambda low, high: session._last_analyzer.cpre(low, high, approach),
-        context_switch=session._context_switch,
+        session.result().system,
+        cpre=lambda low, high: session.analyzer.cpre(low, high, approach),
+        context_switch=session.context_switch,
     )
     return round(-csf, 6)  # lower is better everywhere in the search
 
 
 def _search(
     session,
-    exp_spec,
     cache,
-    budget_index,
     *,
+    exp_spec,
+    budget_index,
     seed,
     eval_cap,
     method,
@@ -401,7 +341,7 @@ def _search(
     baseline = session.result()
     periods = dict(baseline.periods)
     baseline_assignment = session.layout_assignment()
-    baseline_payload = payload_of_result(baseline)
+    baseline_payload = payload_of_point(baseline)
     baseline_score = _score(session, baseline_payload, objective, approach, periods)
     evals = 1
     log_entry(
@@ -410,7 +350,7 @@ def _search(
     )
 
     proposer = MoveProposer(
-        {name: session._layouts[name].program for name in session._order}, cache
+        {name: session.layouts[name].program for name in session.order}, cache
     )
     best_score = baseline_score
     best_payload = baseline_payload
@@ -508,7 +448,7 @@ def _search(
                         counters.counter("optimize.moves.invalid").inc()
                     continue
                 evals += 1
-                payload = payload_of_result(result)
+                payload = payload_of_point(result)
                 score = _score(session, payload, objective, approach, periods)
                 delta = score - current_score
                 if temperature > 0:

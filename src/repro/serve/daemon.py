@@ -63,8 +63,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Headers and body leave in one write.  Flushing the headers on
+        # their own (end_headers) leaves the body to Nagle's algorithm,
+        # which holds it until the client's delayed ACK: a ~40 ms stall
+        # on every keep-alive request.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _read_body(self):
         length = int(self.headers.get("Content-Length") or 0)

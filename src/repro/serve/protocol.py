@@ -34,8 +34,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
-    from repro.analysis.whatif import WhatIfResult
-    from repro.batch.engine import PointResult
+    from repro.analysis.pipeline import SystemResult
     from repro.guard.budget import AnalysisBudget
 
 __all__ = [
@@ -51,6 +50,7 @@ __all__ = [
     "http_status",
     "parse_request",
     "point_payload",
+    "result_payload",
     "whatif_payload",
 ]
 
@@ -88,6 +88,12 @@ RESULT_KEYS = frozenset(
         "soundness",
         "events",
     }
+)
+
+#: The :data:`RESULT_KEYS` taken from the analysis payload, in order.
+_CONTENT_KEYS = (
+    "config", "periods", "wcet", "lines", "wcrt", "schedulable",
+    "soundness", "events",
 )
 
 #: Exact key set of a compare report.
@@ -266,70 +272,32 @@ def parse_request(payload) -> AnalyzeRequest:
 # ----------------------------------------------------------------------
 
 
-def point_payload(result: "PointResult", periods: dict) -> dict:
+def result_payload(result: "SystemResult", kind: str, label: str) -> dict:
+    """The canonical payload of *result*: :data:`RESULT_KEYS` out of
+    :meth:`~repro.analysis.pipeline.SystemResult.payload`, so point and
+    spec results diff uniformly in :func:`compare_payloads`.  Timing and
+    store telemetry are not in it, so warm, cold and served runs of the
+    same system serialize identically."""
+    payload = result.payload()
+    return {
+        "kind": kind,
+        "label": label,
+        **{key: payload[key] for key in _CONTENT_KEYS},
+    }
+
+
+def point_payload(result: "SystemResult", periods: "dict | None" = None) -> dict:
     """Canonical payload of one analysed sweep point.
 
-    Pure content only: ``analysis_seconds`` and the per-point store
-    telemetry of :class:`~repro.batch.engine.PointResult` are excluded
-    so warm, cold and served runs of the same point serialize
-    identically.
+    *periods* is accepted for existing callers; the result carries the
+    experiment's periods itself.
     """
-    config = result.point.config()
-    return {
-        "kind": "point",
-        "label": result.point.label(),
-        "config": {
-            "num_sets": config.num_sets,
-            "ways": config.ways,
-            "line_size": config.line_size,
-            "miss_penalty": config.miss_penalty,
-            "policy": config.policy,
-            "write_back": config.write_back,
-        },
-        "periods": {name: periods[name] for name in sorted(periods)},
-        "wcet": dict(result.wcet),
-        "lines": {
-            f"{e.preempted}<-{e.preempting}": {
-                str(a.value): count for a, count in e.lines.items()
-            }
-            for e in result.estimates
-        },
-        "wcrt": {
-            str(approach): dict(per_task)
-            for approach, per_task in result.wcrt.items()
-        },
-        "schedulable": {
-            str(approach): verdict
-            for approach, verdict in result.schedulable.items()
-        },
-        "soundness": result.soundness,
-        "events": [
-            [e.stage, e.budget, e.reason, e.fallback] for e in result.events
-        ],
-    }
+    return result_payload(result, "point", result.label)
 
 
-def whatif_payload(result: "WhatIfResult", label: str) -> dict:
-    """Canonical payload of one analysed fuzz SystemSpec.
-
-    Derived from :meth:`~repro.analysis.whatif.WhatIfResult._payload`
-    (the session's own byte-identity surface) and reshaped onto
-    :data:`RESULT_KEYS`, so point and spec results diff uniformly in
-    :func:`compare_payloads`.
-    """
-    payload = result._payload()
-    return {
-        "kind": "spec",
-        "label": label,
-        "config": payload["config"],
-        "periods": payload["periods"],
-        "wcet": payload["wcet"],
-        "lines": payload["lines"],
-        "wcrt": payload["wcrt"],
-        "schedulable": payload["schedulable"],
-        "soundness": payload["soundness"],
-        "events": payload["events"],
-    }
+def whatif_payload(result: "SystemResult", label: str) -> dict:
+    """Canonical payload of one analysed fuzz SystemSpec."""
+    return result_payload(result, "spec", label)
 
 
 # ----------------------------------------------------------------------

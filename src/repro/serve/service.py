@@ -37,7 +37,9 @@ A full queue sheds at submit time (:class:`~repro.errors.ShedError`,
 429) after refunding the client's quota token.  ``shutdown(drain=True)``
 — the SIGTERM path — stops admissions (new submits shed), lets workers
 finish everything already queued, then joins them; results of drained
-jobs remain fetchable until the process exits.
+jobs remain fetchable until the process exits.  The service keeps the
+last :data:`FINISHED_JOBS_KEPT` finished jobs fetchable and forgets
+older ones, so memory stays flat however many requests a daemon serves.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
+from collections import deque
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -63,6 +66,10 @@ from repro.serve.quota import QuotaConfig, TokenBuckets
 __all__ = ["AnalysisService", "JobRecord"]
 
 _SENTINEL = object()
+
+#: Finished jobs that stay fetchable; older ones are forgotten (their ids
+#: answer 404), so a long-running daemon's memory stays flat.
+FINISHED_JOBS_KEPT = 1024
 
 
 class JobRecord:
@@ -135,6 +142,7 @@ class AnalysisService:
         self._pool = WarmPool(jobs=1)
         self._lock = threading.Lock()
         self._jobs: dict[str, JobRecord] = {}
+        self._finished: deque = deque()
         self._ids = itertools.count(1)
         self._threads: list[threading.Thread] = []
         self._accepting = False
@@ -145,6 +153,7 @@ class AnalysisService:
         self.server_metrics = None
         self._scoped_tracer = None
         self._scoped_metrics = None
+        self._keep_traces = False
 
     @property
     def quota(self) -> TokenBuckets:
@@ -175,11 +184,11 @@ class AnalysisService:
 
             self._pool = WarmPool(jobs=1)
         self._saved_obs = (STATE.enabled, STATE.tracer, STATE.metrics)
-        fallback_tracer = (
-            STATE.tracer
-            if STATE.enabled and isinstance(STATE.tracer, Tracer)
-            else Tracer()
-        )
+        # Only a tracer installed before start() (``--trace-out``) is ever
+        # exported; without one, server-level request traces are not kept,
+        # or they would grow memory with every request served.
+        self._keep_traces = STATE.enabled and isinstance(STATE.tracer, Tracer)
+        fallback_tracer = STATE.tracer if self._keep_traces else Tracer()
         fallback_metrics = (
             STATE.metrics
             if STATE.enabled and isinstance(STATE.metrics, Metrics)
@@ -452,18 +461,22 @@ class AnalysisService:
             with self._lock:
                 job.store = store_counts_from(snapshot)
                 job.finished_at = perf_counter()
+                self._finished.append(job.id)
+                while len(self._finished) > FINISHED_JOBS_KEPT:
+                    self._jobs.pop(self._finished.popleft(), None)
             # Merge the request view into the server view: the request
             # trace re-parents under one server-level span per job, and
             # counters accumulate, so daemon-level exports stay whole.
-            with self.server_tracer.span(
-                "serve.request",
-                job=job.id,
-                client=job.client,
-                state=job.state,
-            ) as span:
-                self.server_tracer.adopt(
-                    request_tracer.records, parent_id=span.span_id
-                )
+            if self._keep_traces:
+                with self.server_tracer.span(
+                    "serve.request",
+                    job=job.id,
+                    client=job.client,
+                    state=job.state,
+                ) as span:
+                    self.server_tracer.adopt(
+                        request_tracer.records, parent_id=span.span_id
+                    )
             self.server_metrics.merge(snapshot)
             self.server_metrics.counter(f"serve.jobs.{job.state}").inc()
             job.done.set()
@@ -473,7 +486,6 @@ class AnalysisService:
         if request.kind == "point":
             from repro.batch.engine import SweepPoint, analyze_batch
             from repro.cache.config import CacheConfig
-            from repro.experiments.setup import ALL_SPECS
 
             cache = None
             if request.geometry is not None:
@@ -496,8 +508,7 @@ class AnalysisService:
                 path_engine=self._path_engine,
                 pool=self._pool,
             )
-            spec = {s.key: s for s in ALL_SPECS}[request.experiment]
-            return point_payload(batch.results[0], periods=spec.periods)
+            return point_payload(batch.results[0])
         from repro.analysis.whatif import WhatIfSession
         from repro.fuzz.spec import SystemSpec
 

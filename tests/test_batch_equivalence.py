@@ -142,7 +142,7 @@ def _estimate_rows(estimates) -> list[tuple]:
 
 
 def point_fingerprint(result) -> bytes:
-    """Everything a :class:`PointResult` asserts about the system, as
+    """Everything a batch :class:`SystemResult` asserts about the system, as
     bytes — timing and store telemetry excluded, they legitimately vary."""
     return pickle.dumps(
         (
@@ -250,3 +250,19 @@ class TestBatchTraceDeterminism:
         # Every adopted point span hangs off the batch span.
         batch_span = next(s for s in shape1 if s[0] == "batch.analyze")
         assert {s["parent"] for s in spans1} == {batch_span[2]}
+
+
+class TestBatchStore:
+    def test_memory_only_store_answers_the_repeat_batch(self):
+        """The serial path uses the given store handle itself, so a
+        memory-only store (no directory) is not silently dropped."""
+        store = ArtifactStore(directory=None)
+        points = [SweepPoint(experiment="exp1", miss_penalty=10)]
+        cold = analyze_batch(points, store=store)
+        warm = analyze_batch(points, store=store)
+        assert cold.store_misses > 0
+        assert warm.store_misses == 0
+        assert warm.store_hits > 0
+        assert point_fingerprint(warm.results[0]) == point_fingerprint(
+            cold.results[0]
+        )

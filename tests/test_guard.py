@@ -31,7 +31,8 @@ from repro.errors import (
     SimulationError,
     error_kind,
 )
-from repro.guard import AnalysisBudget, DegradationLedger, GuardedPipeline
+from repro.analysis.pipeline import Placed, TaskRule, evaluate
+from repro.guard import AnalysisBudget, DegradationLedger
 from repro.program import SystemLayout
 from repro.sched import Simulator, TaskBinding
 from repro.wcrt import TaskSpec, TaskSystem, compute_system_wcrt
@@ -394,56 +395,64 @@ class TestSimulationFault:
 
 
 # ----------------------------------------------------------------------
-# GuardedPipeline end-to-end
+# The evaluation pipeline end to end: one budget, one ledger, one clock
 # ----------------------------------------------------------------------
-class TestGuardedPipeline:
-    def build_system(self, pipeline):
-        bomb_wcet = pipeline.artifacts["bomb"].wcet.cycles
-        victim_wcet = pipeline.artifacts["victim"].wcet.cycles
-        return TaskSystem(
-            tasks=[
-                TaskSpec("bomb", wcet=bomb_wcet, period=20 * bomb_wcet, priority=1),
-                TaskSpec(
-                    "victim",
-                    wcet=victim_wcet,
-                    period=40 * (bomb_wcet + victim_wcet),
-                    priority=2,
-                ),
-            ]
-        )
+def bomb_and_victim(shared_layouts, config) -> Placed:
+    """The path bomb preempting a streaming victim, as a placed system."""
+    return Placed(
+        order=("bomb", "victim"),
+        layouts=dict(shared_layouts),
+        scenarios={
+            "bomb": exploding_scenarios(BRANCHES),
+            "victim": {"d": {"data": list(range(32))}},
+        },
+        rules={
+            "bomb": TaskRule(priority=1, period_mult=20),
+            "victim": TaskRule(priority=2, period_mult=400),
+        },
+        cache=config,
+    )
 
+
+class TestGuardedPipeline:
     def test_crpd_before_analyze_is_config_error(self, shared_config):
+        """With no task analysed, the CRPD stage has nothing to pair."""
+        empty = Placed(
+            order=(), layouts={}, scenarios={}, rules={}, cache=shared_config
+        )
         with pytest.raises(ConfigError):
-            _ = GuardedPipeline(shared_config).crpd
+            evaluate(empty, shared_config)
 
     def test_exact_end_to_end(self, shared_layouts, shared_config):
-        pipeline = GuardedPipeline(shared_config)
-        pipeline.analyze(
-            "bomb", shared_layouts["bomb"], exploding_scenarios(BRANCHES)
+        result = evaluate(
+            bomb_and_victim(shared_layouts, shared_config),
+            shared_config,
+            budget=AnalysisBudget(),
         )
-        pipeline.analyze(
-            "victim", shared_layouts["victim"], {"d": {"data": list(range(32))}}
-        )
-        wcrt = pipeline.system_wcrt(self.build_system(pipeline))
-        assert wcrt.soundness == "exact"
-        assert pipeline.soundness == "exact"
-        assert wcrt.ledger is pipeline.ledger
+        assert result.soundness == "exact"
+        assert result.events == ()
 
     def test_degraded_end_to_end_carries_audit_trail(
         self, shared_layouts, shared_config
     ):
-        pipeline = GuardedPipeline(shared_config, AnalysisBudget(max_paths=4))
-        pipeline.analyze(
-            "bomb", shared_layouts["bomb"], exploding_scenarios(BRANCHES)
+        result = evaluate(
+            bomb_and_victim(shared_layouts, shared_config),
+            shared_config,
+            budget=AnalysisBudget(max_paths=4),
         )
-        pipeline.analyze(
-            "victim", shared_layouts["victim"], {"d": {"data": list(range(32))}}
-        )
-        wcrt = pipeline.system_wcrt(self.build_system(pipeline))
-        assert wcrt.soundness == "conservative"
-        assert "max_paths" in wcrt.ledger.tripped_budgets()
-        assert wcrt.ledger.for_stage("paths:bomb")
-        assert wcrt.ledger.for_stage("crpd:victim<-bomb")
+        assert result.soundness == "conservative"
+        ledger = DegradationLedger(events=list(result.events))
+        assert "max_paths" in ledger.tripped_budgets()
+        assert ledger.for_stage("paths:bomb")
+        assert ledger.for_stage("crpd:victim<-bomb")
+
+    def test_strict_budget_raises(self, shared_layouts, shared_config):
+        with pytest.raises(BudgetExceeded):
+            evaluate(
+                bomb_and_victim(shared_layouts, shared_config),
+                shared_config,
+                budget=AnalysisBudget(max_paths=4, strict=True),
+            )
 
 
 # ----------------------------------------------------------------------
@@ -461,21 +470,21 @@ class TestRobustnessInvariant:
             pytest.fail(f"unguarded failure escaped the pipeline: {error!r}")
 
     def test_all_faults_are_guarded(self, shared_layouts, shared_config):
+        placed = bomb_and_victim(shared_layouts, shared_config)
+
         def path_explosion_degraded():
-            pipeline = GuardedPipeline(shared_config, AnalysisBudget(max_paths=2))
-            pipeline.analyze(
-                "bomb", shared_layouts["bomb"], exploding_scenarios(BRANCHES)
+            result = evaluate(
+                placed, shared_config, budget=AnalysisBudget(max_paths=2)
             )
-            return pipeline.ledger
+            return DegradationLedger(events=list(result.events))
 
         def path_explosion_strict():
-            pipeline = GuardedPipeline(
-                shared_config, AnalysisBudget(max_paths=2, strict=True)
+            result = evaluate(
+                placed,
+                shared_config,
+                budget=AnalysisBudget(max_paths=2, strict=True),
             )
-            pipeline.analyze(
-                "bomb", shared_layouts["bomb"], exploding_scenarios(BRANCHES)
-            )
-            return pipeline.ledger
+            return DegradationLedger(events=list(result.events))
 
         def divergent_task_set():
             return compute_system_wcrt(

@@ -28,7 +28,7 @@ def run():
     store = ArtifactStore(directory=None, memory_slots=8192)
     session = WhatIfSession("exp1", store=store)
     try:
-        config = session._config
+        config = session.config
     finally:
         session.close()
     outcome = optimize(

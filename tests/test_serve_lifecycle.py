@@ -76,6 +76,25 @@ def test_shutdown_drains_queued_jobs():
     assert service.status_envelope(jobs[-1].id)[0] == 200
 
 
+def test_only_the_latest_finished_jobs_stay_fetchable(monkeypatch):
+    """The job table is bounded, so a long-running daemon's memory stays
+    flat: past the cap the oldest finished job answers 404."""
+    import repro.serve.service as service_module
+    from repro.errors import ConfigError
+
+    def refuse(job):
+        raise ConfigError("refused by the test hook")
+
+    monkeypatch.setattr(service_module, "FINISHED_JOBS_KEPT", 2)
+    with AnalysisService(workers=1, job_hook=refuse) as service:
+        jobs = [service.submit(FAST) for _ in range(3)]
+        for job in jobs:
+            assert job.done.wait(timeout=60)
+        assert service.status_envelope(jobs[0].id)[0] == 404
+        for job in jobs[1:]:
+            assert service.status_envelope(job.id)[0] == 400
+
+
 def test_shutdown_without_drain_sheds_queued_jobs():
     service, started, gate = _wedged_service(queue_capacity=8)
     service.start()

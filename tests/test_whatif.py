@@ -9,10 +9,10 @@ import json
 import pytest
 
 from repro.analysis.store import ArtifactStore
+from repro.analysis.pipeline import _warm_start_sound
 from repro.analysis.whatif import (
     Edit,
     WhatIfSession,
-    _warm_start_sound,
     check_edit_conflicts,
     parse_edit,
 )
@@ -300,8 +300,8 @@ class TestSweepJsonTelemetry:
     def test_store_counts_attribute_cold_vs_warm_points(self, tmp_path):
         store = ArtifactStore(directory=tmp_path)
         points = [SweepPoint(experiment="exp1", miss_penalty=10)]
-        cold = analyze_batch(points, store=store).results[0].to_dict()
-        warm = analyze_batch(points, store=store).results[0].to_dict()
+        cold = analyze_batch(points, store=store).to_dict()["points"][0]
+        warm = analyze_batch(points, store=store).to_dict()["points"][0]
         assert cold["store"]["misses"] > 0
         assert warm["store"]["hits"] > 0
         assert warm["store"]["misses"] < cold["store"]["misses"]
@@ -448,7 +448,7 @@ class TestLayoutEditGrammar:
 
 class TestLayoutEditsOnSession:
     def names(self, session):
-        return list(session._order)
+        return list(session.order)
 
     def test_code_shift_changes_the_analysis(self):
         with observed():
@@ -456,7 +456,7 @@ class TestLayoutEditsOnSession:
             try:
                 base = session.result()
                 t0 = self.names(session)[0]
-                old_base = session._layouts[t0].code_base
+                old_base = session.layouts[t0].code_base
                 # +24 is not a multiple of the 64-byte index span, so the
                 # code block really lands on different cache sets (a full
                 # index-span shift would be an analysis no-op).
@@ -473,9 +473,9 @@ class TestLayoutEditsOnSession:
         session = WhatIfSession(small_spec())
         try:
             t0 = self.names(session)[0]
-            config = session._config
+            config = session.config
             session.apply(Edit(kind="color", task=t0, index=0, value=2))
-            layout = session._layouts[t0]
+            layout = session.layouts[t0]
             name = next(iter(layout.program.arrays))
             base = layout.symbol_overrides[name]
             assert config.color_of(base) == 2
@@ -487,17 +487,17 @@ class TestLayoutEditsOnSession:
         try:
             a, b = self.names(session)
             before = {
-                n: (session._layouts[n].code_base, session._layouts[n].data_base)
+                n: (session.layouts[n].code_base, session.layouts[n].data_base)
                 for n in (a, b)
             }
             session.apply(Edit(kind="swap", task=a, value=b))
             assert (
-                session._layouts[a].code_base,
-                session._layouts[a].data_base,
+                session.layouts[a].code_base,
+                session.layouts[a].data_base,
             ) == before[b]
             assert (
-                session._layouts[b].code_base,
-                session._layouts[b].data_base,
+                session.layouts[b].code_base,
+                session.layouts[b].data_base,
             ) == before[a]
         finally:
             session.close()
@@ -534,7 +534,7 @@ class TestLayoutEditsOnSession:
                 Edit(
                     kind="code",
                     task=t0,
-                    value=session._layouts[t0].code_base + 128,
+                    value=session.layouts[t0].code_base + 128,
                 )
             )
             restored = session.set_assignment(home)
@@ -548,10 +548,10 @@ class TestLayoutEditsOnSession:
         session = WhatIfSession(small_spec())
         try:
             t0 = self.names(session)[0]
-            moved = session._layouts[t0].code_base + 64
+            moved = session.layouts[t0].code_base + 64
             session.apply(Edit(kind="code", task=t0, value=moved))
             session.apply(Edit(kind="array", task=t0, index=0, value=32))
-            assert session._layouts[t0].code_base == moved
+            assert session.layouts[t0].code_base == moved
         finally:
             session.close()
 

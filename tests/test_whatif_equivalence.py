@@ -8,7 +8,7 @@ is byte-identical to a cold session constructed directly at the edited
 configuration.  These tests draw randomized systems and edit chains
 through the fuzz generator's :class:`~repro.fuzz.generator.Draw`
 protocol (seeded and platform-stable, like the campaign runner) and
-compare :meth:`WhatIfResult.signature` strings, which serialise all of
+compare :meth:`SystemResult.signature` strings, which serialise all of
 the above canonically.
 
 The vectorized dense kernels ride the same suite: the ``bytes`` layout,
@@ -238,7 +238,7 @@ class TestDenseEngineParity:
             payloads = []
             for engine in ("dense", "auto"):
                 with WhatIfSession(spec, path_engine=engine) as session:
-                    payload = session.result()._payload()
+                    payload = session.result().payload()
                 payload.pop("events")
                 payload.pop("soundness")
                 payloads.append(json.dumps(payload, sort_keys=True))
