@@ -42,7 +42,7 @@ from repro.vm.trace import (
     CompactTrace,
     LazyTraces,
     NodeTraceAggregate,
-    compact_traces,
+    RelocatableTrace,
 )
 
 if TYPE_CHECKING:
@@ -312,18 +312,18 @@ def analyze_task(
                 return memo.artifacts
         span.set(cache_hit=False)
 
-        wcet, runs, trace_bundle, keys = _wcet_stage(
+        wcet, placed, keys = _wcet_stage(
             layout, scenarios, config, max_steps, store if use_store else None,
             clock, program.name,
         )
         if use_store:
             from repro.analysis.store import flow_key, paths_key
 
-            keys["flow"] = flow_key(keys["trace"], config)
-            keys["paths"] = paths_key(layout, path_limit, strict)
+            keys["flow"] = flow_key(keys["trace"], layout, config)
+            keys["paths"] = paths_key(program, path_limit, strict)
         flow = _flow_stage(
             program, scenarios, config, store if use_store else None,
-            keys.get("flow"), runs, trace_bundle, clock,
+            keys.get("flow"), placed, clock,
         )
         path_profiles, path_complete, local_events = _paths_stage(
             program, path_limit, budget, ledger, span,
@@ -369,12 +369,15 @@ def _wcet_stage(
     clock: "BudgetClock | None",
     name: str,
 ):
-    """Trace + sim sub-artifacts -> (wcet, fresh runs or None, bundle, keys).
+    """Trace + sim sub-artifacts -> (wcet, placed traces, keys).
 
     Cold: one VM pass per scenario feeds both sub-artifacts.  Trace hit
-    with a sim miss (new geometry): replay the columnar trace through a
-    fresh cache — no VM.  Both hits (new costs only): reassemble cycle
-    counts arithmetically and defer trace decoding entirely.
+    with a sim miss (new geometry or new placement): relocate the stored
+    stream and replay it through a fresh cache — no VM.  Both hits (new
+    costs only): reassemble cycle counts arithmetically and defer trace
+    relocation and decoding entirely.  *placed* is the flow stage's
+    input: ``scenario -> CompactTrace`` when this stage already built
+    the placed columns, else a function relocating them on demand.
     """
     from repro.analysis.store import (
         SimBundle,
@@ -384,62 +387,69 @@ def _wcet_stage(
         trace_key,
     )
 
-    keys: dict[str, str] = {}
     if store is None:
         if clock is not None:
             clock.check(f"wcet:{name}")
         wcet, runs = measure_wcet_detailed(
             layout, scenarios, config, max_steps=max_steps
         )
-        return wcet, runs, None, keys
-    t_key = trace_key(layout, scenarios, max_steps)
-    s_key = sim_key(t_key, config)
-    keys["trace"] = t_key
-    keys["sim"] = s_key
+        placed = {
+            scenario: CompactTrace.from_recorder(run.recorder)
+            for scenario, run in runs.items()
+        }
+        return wcet, placed, {}
+    t_key = trace_key(layout.program, scenarios, max_steps)
+    s_key = sim_key(t_key, layout, config)
+    keys = {"trace": t_key, "sim": s_key}
+    bases = layout.region_bases()
     trace_bundle = store.get(t_key, kind="trace")
+    placed = None
     if trace_bundle is None:
         if clock is not None:
             clock.check(f"wcet:{name}")
-        wcet, runs = measure_wcet_detailed(
+        _, runs = measure_wcet_detailed(
             layout, scenarios, config, max_steps=max_steps
         )
+        streams, placed = {}, {}
+        for scenario, run in runs.items():
+            streams[scenario], placed[scenario] = RelocatableTrace.split(
+                run.recorder, layout
+            )
         trace_bundle = TraceBundle(
             scenario_names=tuple(scenarios),
-            traces={
-                scenario: CompactTrace.from_recorder(run.recorder)
-                for scenario, run in runs.items()
-            },
+            traces=streams,
             base_cycles={
                 scenario: run.base_cycles for scenario, run in runs.items()
             },
         )
-        store.put(t_key, trace_bundle, kind="trace")
-        store.put(
-            s_key,
-            SimBundle(
-                counts={
-                    scenario: (run.accesses, run.misses, run.writebacks)
-                    for scenario, run in runs.items()
-                }
-            ),
-            kind="sim",
+        sim_bundle = SimBundle(
+            counts={
+                scenario: (run.accesses, run.misses, run.writebacks)
+                for scenario, run in runs.items()
+            }
         )
-        return wcet, runs, trace_bundle, keys
-    sim_bundle = store.get(s_key, kind="sim")
-    if sim_bundle is None:
-        # New geometry against a known trace: replay, don't re-simulate.
-        if clock is not None:
-            clock.check(f"wcet:{name}")
-        counts = {}
-        for scenario in scenarios:
-            cache = CacheState(config)
-            trace_bundle.traces[scenario].replay(cache)
-            stats = cache.stats
-            counts[scenario] = (
-                stats.hits + stats.misses, stats.misses, stats.writebacks
-            )
-        sim_bundle = SimBundle(counts=counts)
+        store.put(t_key, trace_bundle, kind="trace")
         store.put(s_key, sim_bundle, kind="sim")
+    else:
+        sim_bundle = store.get(s_key, kind="sim")
+        if sim_bundle is None:
+            # New geometry or placement against a known trace: relocate
+            # and replay, don't re-simulate.
+            if clock is not None:
+                clock.check(f"wcet:{name}")
+            placed, counts = {}, {}
+            for scenario in scenarios:
+                trace = placed[scenario] = trace_bundle.traces[scenario].relocate(
+                    bases
+                )
+                cache = CacheState(config)
+                trace.replay(cache)
+                stats = cache.stats
+                counts[scenario] = (
+                    stats.hits + stats.misses, stats.misses, stats.writebacks
+                )
+            sim_bundle = SimBundle(counts=counts)
+            store.put(s_key, sim_bundle, kind="sim")
     # Iterate in the *caller's* scenario order (identical content hashes
     # regardless of order), so worst-scenario tie-breaking matches what a
     # cold run with these scenarios would pick.
@@ -453,16 +463,22 @@ def _wcet_stage(
     }
     worst = worst_of(per_scenario)
     if store.directory is not None:
-        traces = StoreBackedTraces(store.directory, t_key, tuple(scenarios))
+        traces = StoreBackedTraces(store.directory, t_key, tuple(scenarios), bases)
     else:
-        traces = LazyTraces(trace_bundle.traces)
+        traces = LazyTraces(trace_bundle.traces, bases)
     wcet = WCETResult(
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
         traces=traces,
     )
-    return wcet, None, trace_bundle, keys
+    if placed is None:
+        streams = trace_bundle.traces
+
+        def placed() -> dict:
+            return {s: streams[s].relocate(bases) for s in scenarios}
+
+    return wcet, placed, keys
 
 
 def _flow_stage(
@@ -471,11 +487,15 @@ def _flow_stage(
     config: CacheConfig,
     store: "ArtifactStore | None",
     f_key: "str | None",
-    runs,
-    trace_bundle,
+    placed,
     clock: "BudgetClock | None",
 ) -> "FlowBundle":
-    """Aggregate/CIIP/RMB-LMB/useful sub-artifact, restamped to *config*."""
+    """Aggregate/CIIP/RMB-LMB/useful sub-artifact, restamped to *config*.
+
+    *placed* is :func:`_wcet_stage`'s placed traces (or the function
+    relocating them); on a miss the aggregate reads their (node id,
+    address) columns.
+    """
     from repro.analysis.store import FlowBundle
 
     flow = None
@@ -485,13 +505,11 @@ def _flow_stage(
         return _restamp_flow(flow, config)
     if clock is not None:
         clock.check(f"dataflow:{program.name}")
-    if runs is not None:
-        recorders = [runs[scenario].recorder for scenario in scenarios]
-    else:
-        recorders = [
-            trace_bundle.traces[scenario].expand() for scenario in scenarios
-        ]
-    aggregate = NodeTraceAggregate.from_recorders(config, recorders)
+    if callable(placed):
+        placed = placed()
+    aggregate = NodeTraceAggregate.from_recorders(
+        config, [placed[scenario] for scenario in scenarios]
+    )
     footprint = aggregate.footprint()
     dataflow = solve_rmb_lmb(program.cfg, aggregate, config)
     useful = compute_useful_blocks(program.cfg, dataflow, aggregate)
@@ -623,5 +641,12 @@ def shippable_artifacts(artifacts: TaskArtifacts) -> TaskArtifacts:
     traces = artifacts.wcet.traces
     if isinstance(traces, (LazyTraces, StoreBackedTraces)):
         return artifacts
-    wcet = replace(artifacts.wcet, traces=LazyTraces(compact_traces(traces)))
+    layout = artifacts.layout
+    streams = {
+        name: RelocatableTrace.split(recorder, layout)[0]
+        for name, recorder in traces.items()
+    }
+    wcet = replace(
+        artifacts.wcet, traces=LazyTraces(streams, layout.region_bases())
+    )
     return replace(artifacts, wcet=wcet)

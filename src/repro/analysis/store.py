@@ -7,31 +7,40 @@ bundle under one monolithic key, so changing any input (a different miss
 penalty, a different set count) recomputed everything from scratch even
 though most stages never read the changed input.
 
-Schema 2 decomposes the result into **sub-artifacts**, each keyed only by
-the inputs its stage actually reads:
+Schema 2 decomposed the result into **sub-artifacts**, each keyed only
+by the inputs its stage actually reads; schema 3 (this one) also takes
+the placement out of the trace, so one recorded run serves every layout
+of the program:
 
 ========  =============================================================
-kind      key inputs (besides the program/layout/scenario identity)
+kind      key inputs
 ========  =============================================================
-trace     ``max_steps`` only — the VM's control flow is data-dependent,
-          so the memory-reference stream and the cache-cost-free base
-          cycles are invariant across *every* cache configuration
-sim       trace key + ``num_sets, ways, line_size, policy, write_back``
-          — per-scenario access/miss/writeback counts; cycle counts
+trace     program structure + scenarios + ``max_steps`` — no placement,
+          no cache.  The VM's control flow is data-dependent and no
+          address ever reaches a register, so each reference is stored
+          as (region, offset, kind, node) and relocated to any layout
+          by adding the regions' bases; the cache-cost-free base cycles
+          are invariant too
+sim       trace key + placement (code base and every resolved array
+          base) + ``num_sets, ways, line_size, policy, write_back`` —
+          per-scenario access/miss/writeback counts; cycle counts
           reassemble from these in O(1) for any cost parameters
-flow      trace key + ``num_sets, ways, line_size, policy`` — the
-          per-node aggregate, footprint CIIP, RMB/LMB solution and
+flow      trace key + placement + ``num_sets, ways, line_size, policy``
+          — the per-node aggregate, footprint CIIP, RMB/LMB solution and
           useful-block analysis (cost fields are re-stamped on reuse)
 paths     program structure + ``path_limit, strict`` — feasible path
-          profiles, fully cache-independent
+          profiles, independent of placement and cache
 pair      both tasks' flow/paths keys + CRPD mode — the four per-pair
           reload-line counts
-task      composite of everything (in-memory assembly memo only)
+task      composite of everything, the full layout request included
+          (in-memory assembly memo only)
 ========  =============================================================
 
 A miss-penalty sweep therefore recomputes *nothing* but the pair/task
-assembly, and a geometry sweep re-runs only the set-index-dependent
-kernels (sim replay + flow) against the cached trace.
+assembly; a geometry sweep and a layout move re-run only the
+placement- and set-index-dependent kernels (sim replay + flow) against
+the cached trace — never the VM.  The program-structure digest is
+computed once per built program (:func:`program_digest`).
 
 Every key additionally covers ``SCHEMA_VERSION`` and a fingerprint of the
 installed ``repro`` source code, so editing any module of this package
@@ -73,8 +82,9 @@ from repro.analysis.wcet import Scenarios
 from repro.cache.config import CacheConfig
 from repro.errors import ReproError
 from repro.obs import STATE as _OBS
+from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
-from repro.vm.trace import CompactTrace, TraceRecorder
+from repro.vm.trace import RelocatableTrace, TraceRecorder
 
 if TYPE_CHECKING:
     from repro.analysis.artifacts import TaskArtifacts
@@ -101,14 +111,16 @@ __all__ = [
     "flow_key",
     "pair_key",
     "paths_key",
+    "program_digest",
     "sim_key",
     "trace_key",
 ]
 
 #: Bump whenever the pickled entry layout changes incompatibly.
 #: Schema 1 stored monolithic ``CachedAnalysis`` bundles; schema 2 stores
-#: :class:`StoredEntry`-wrapped sub-artifacts.
-SCHEMA_VERSION = 2
+#: :class:`StoredEntry`-wrapped sub-artifacts; schema 3 stores traces
+#: without placement and keys sim/flow entries by placement instead.
+SCHEMA_VERSION = 3
 
 _SOURCE_FINGERPRINT: Optional[str] = None
 
@@ -147,27 +159,46 @@ class _Digest:
         return self._digest.hexdigest()
 
 
-def _feed_program(digest: _Digest, layout: ProgramLayout) -> None:
-    """Program + placement identity: blocks, structure, arrays, bases."""
-    program = layout.program
-    cfg = program.cfg
+def program_digest(program: Program) -> str:
+    """SHA-256 of a built program's structure: blocks, instructions,
+    structure tree and arrays (in declaration order, which numbers the
+    trace regions).  Memoised on the instance — a built program is never
+    mutated; edits rebuild it.
+    """
+    cached = getattr(program, "_structure_digest", None)
+    if cached is None:
+        digest = hashlib.sha256()
+
+        def feed(text: str) -> None:
+            digest.update(text.encode())
+            digest.update(b"\x00")
+
+        cfg = program.cfg
+        feed(f"program={program.name}")
+        feed(f"entry={cfg.entry}")
+        for label in cfg.labels():
+            block = cfg.block(label)
+            feed(f"block={label}")
+            for instruction in block.instructions:
+                feed(repr(instruction))
+            feed(repr(block.terminator))
+        feed(f"structure={program.structure!r}")
+        for decl in program.arrays.values():
+            feed(f"array={decl.name}:{decl.words}:{decl.element_size}")
+        cached = program._structure_digest = digest.hexdigest()
+    return cached
+
+
+def _feed_placement(digest: _Digest, layout: ProgramLayout) -> None:
+    """Where every trace region sits: the code base and each resolved
+    array base — exactly what relocating a stored trace reads."""
+    digest.feed(f"bases={layout.region_bases()}")
+
+
+def _feed_layout(digest: _Digest, layout: ProgramLayout) -> None:
+    """The full layout request: bases, alignment and pinned symbols."""
     feed = digest.feed
-    feed(f"program={program.name}")
-    feed(f"entry={cfg.entry}")
-    for label in cfg.labels():
-        block = cfg.block(label)
-        feed(f"block={label}")
-        for instruction in block.instructions:
-            feed(repr(instruction))
-        feed(repr(block.terminator))
-    feed(f"structure={program.structure!r}")
-    for name in sorted(program.arrays):
-        decl = program.arrays[name]
-        feed(f"array={decl.name}:{decl.words}:{decl.element_size}")
     feed(f"layout={layout.code_base}:{layout.data_base}:{layout.data_alignment}")
-    # Pinned symbols change the address trace, so they are part of the
-    # placement identity.  Fed only when present, which keeps every key
-    # minted before symbol overrides existed byte-stable.
     for name in sorted(layout.symbol_overrides):
         feed(f"symbol={name}:{layout.symbol_overrides[name]}")
 
@@ -180,24 +211,26 @@ def _feed_scenarios(digest: _Digest, scenarios: Scenarios) -> None:
             digest.feed(f"input={array_name}:{tuple(inputs[array_name])!r}")
 
 
-def trace_key(layout: ProgramLayout, scenarios: Scenarios, max_steps: int) -> str:
-    """Key of the cache-configuration-independent reference streams."""
+def trace_key(program: Program, scenarios: Scenarios, max_steps: int) -> str:
+    """Key of the placement- and cache-independent reference streams."""
     digest = _Digest("trace")
-    _feed_program(digest, layout)
+    digest.feed(f"program={program_digest(program)}")
     _feed_scenarios(digest, scenarios)
     digest.feed(f"max_steps={max_steps}")
     return digest.hexdigest()
 
 
-def sim_key(trace: str, config: CacheConfig) -> str:
+def sim_key(trace: str, layout: ProgramLayout, config: CacheConfig) -> str:
     """Key of the per-scenario hit/miss/writeback counts.
 
-    Only the fields that shape *which* accesses hit participate — cost
-    parameters (``miss_penalty``, ``hit_cycles``, ``writeback_penalty``)
-    deliberately do not, so penalty sweeps share one entry.
+    Only the placement and the fields that shape *which* accesses hit
+    participate — cost parameters (``miss_penalty``, ``hit_cycles``,
+    ``writeback_penalty``) deliberately do not, so penalty sweeps share
+    one entry.
     """
     digest = _Digest("sim")
     digest.feed(f"trace={trace}")
+    _feed_placement(digest, layout)
     digest.feed(
         f"geometry={config.num_sets}:{config.ways}:{config.line_size}"
         f":{config.policy}:{config.write_back}"
@@ -205,15 +238,16 @@ def sim_key(trace: str, config: CacheConfig) -> str:
     return digest.hexdigest()
 
 
-def flow_key(trace: str, config: CacheConfig) -> str:
+def flow_key(trace: str, layout: ProgramLayout, config: CacheConfig) -> str:
     """Key of the per-node aggregate / CIIP / RMB-LMB / useful analyses.
 
-    These read only the block mapping (``line_size``), set indexing
-    (``num_sets``), associativity and replacement policy; neither cost
-    parameters nor write-allocation behaviour change them.
+    These read the placed block mapping (placement, ``line_size``), set
+    indexing (``num_sets``), associativity and replacement policy;
+    neither cost parameters nor write-allocation behaviour change them.
     """
     digest = _Digest("flow")
     digest.feed(f"trace={trace}")
+    _feed_placement(digest, layout)
     digest.feed(
         f"geometry={config.num_sets}:{config.ways}:{config.line_size}"
         f":{config.policy}"
@@ -221,10 +255,11 @@ def flow_key(trace: str, config: CacheConfig) -> str:
     return digest.hexdigest()
 
 
-def paths_key(layout: ProgramLayout, path_limit: int, strict: bool) -> str:
-    """Key of the feasible-path profiles (cache-independent entirely)."""
+def paths_key(program: Program, path_limit: int, strict: bool) -> str:
+    """Key of the feasible-path profiles: program structure only (paths
+    never read an address or the cache)."""
     digest = _Digest("paths")
-    _feed_program(digest, layout)
+    digest.feed(f"program={program_digest(program)}")
     digest.feed(f"path_limit={path_limit}")
     digest.feed(f"strict={strict}")
     return digest.hexdigest()
@@ -270,7 +305,8 @@ def artifact_key(
     in-process assembly memo, not for disk sub-artifacts.
     """
     digest = _Digest("task")
-    _feed_program(digest, layout)
+    digest.feed(f"program={program_digest(layout.program)}")
+    _feed_layout(digest, layout)
     digest.feed(f"config={config!r}")
     _feed_scenarios(digest, scenarios)
     digest.feed(f"max_steps={max_steps}")
@@ -300,14 +336,15 @@ class StoredEntry:
 
 @dataclass
 class TraceBundle:
-    """kind="trace": columnar reference streams + invariant base cycles.
+    """kind="trace": placement-free reference streams + invariant base
+    cycles, shared by every layout of the program.
 
     ``scenario_names`` preserves the caller's scenario order so replayed
     worst-scenario selection tie-breaks identically to a cold run.
     """
 
     scenario_names: tuple[str, ...]
-    traces: dict[str, CompactTrace]
+    traces: dict[str, RelocatableTrace]
     base_cycles: dict[str, int]
 
 
@@ -366,16 +403,24 @@ class StoreBackedTraces(Mapping):
     Warm analyses never need raw traces (sim counts and flow bundles
     already encode everything the pipeline reads), so instead of loading
     the — by far largest — trace entry eagerly, artifacts assembled from
-    cache carry this view, which fetches and decodes the columnar traces
-    only if a consumer (reports, examples) actually iterates them.
-    Pickles as ``(directory, key, names)``: workers on the same machine
+    cache carry this view, which fetches the placement-free traces,
+    relocates them to *bases* and decodes them only if a consumer
+    (reports, examples) actually iterates them.  Pickles as
+    ``(directory, key, names, bases)``: workers on the same machine
     re-resolve against the same store directory.
     """
 
-    def __init__(self, directory: Path, key: str, scenario_names: tuple[str, ...]):
+    def __init__(
+        self,
+        directory: Path,
+        key: str,
+        scenario_names: tuple[str, ...],
+        bases: tuple[int, ...],
+    ):
         self._directory = Path(directory)
         self._key = key
         self._names = tuple(scenario_names)
+        self._bases = tuple(bases)
         self._expanded: dict[str, TraceRecorder] = {}
         self._bundle: Optional[TraceBundle] = None
 
@@ -397,7 +442,8 @@ class StoreBackedTraces(Mapping):
             raise KeyError(name)
         recorder = self._expanded.get(name)
         if recorder is None:
-            recorder = self._load().traces[name].expand()
+            trace = self._load().traces[name]
+            recorder = trace.relocate(self._bases).expand()
             self._expanded[name] = recorder
         return recorder
 
@@ -408,10 +454,10 @@ class StoreBackedTraces(Mapping):
         return len(self._names)
 
     def __getstate__(self):
-        return (self._directory, self._key, self._names)
+        return (self._directory, self._key, self._names, self._bases)
 
     def __setstate__(self, state):
-        self._directory, self._key, self._names = state
+        self._directory, self._key, self._names, self._bases = state
         self._expanded = {}
         self._bundle = None
 

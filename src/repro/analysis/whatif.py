@@ -7,14 +7,14 @@ geometry, one task's period, one task's array footprint) at interactive
 latency.  ROADMAP item 2's target is < 50 ms per edit warm; the layout
 optimizer workload (ROADMAP item 3) sits on this layer.
 
-The incremental machinery is the schema-2 content-addressed artifact
+The incremental machinery is the schema-3 content-addressed artifact
 graph itself.  Every pipeline stage is keyed by exactly the inputs it
 reads::
 
-    trace(layout, scenarios, max_steps)
-      -> sim(trace, geometry)           # hit/miss counts
-      -> flow(trace, geometry)          # CIIP / RMB-LMB / useful blocks
-    paths(structure, limit, strict)     # feasible path profiles
+    trace(structure, scenarios, max_steps)   # placement-free streams
+      -> sim(trace, placement, geometry)     # hit/miss counts
+      -> flow(trace, placement, geometry)    # CIIP / RMB-LMB / useful blocks
+    paths(structure, limit, strict)          # feasible path profiles
     pair(flow_a, paths_a, flow_b, paths_b, mode, engine, strict)
     task(everything above + config)     # in-memory assembly memo
 
@@ -34,22 +34,26 @@ edit                trace  sim  flow  paths  pair  wcet  wcrt
 ``penalty=N``       keep   keep keep  keep   keep  redo  redo
 ``geometry=SxWxL``  keep   redo redo  keep   redo  redo  redo
 ``period:T=N``      keep   keep keep  keep   keep  keep  T + lower
-``array:T:J=W``     shift  ...  ...   T      T     T     redo
-``code:T=A``        T      T    T     keep   T     T     redo
-``data:T=A``        T      T    T     keep   T     T     redo
-``color:T:J=C``     T      T    T     keep   T     T     redo
-``swap:T1=T2``      T1,T2  ...  ...   keep   pairs both  redo
+``array:T:J=W``     T      shift shift T     T     T     redo
+``code:T=A``        keep   T    T     keep   T     T     redo
+``data:T=A``        keep   T    T     keep   T     T     redo
+``color:T:J=C``     keep   T    T     keep   T     T     redo
+``swap:T1=T2``      keep   both both  keep   pairs both  redo
+assignment jump     keep   moved moved keep  moved moved redo
 ==================  =====  ===  ====  =====  ====  ====  ====
 
 ("shift": a footprint edit can move *other* tasks' layouts too — the
 stagger stride depends on the largest program — so per-task key diffing,
 not the edit's target, decides what actually recomputes.)
 
-The layout edits (``code:``/``data:``/``color:``/``swap:``) are the
-optimizer's neighbor moves: they pin explicit placements through a
-:class:`~repro.program.layout.LayoutAssignment` and only invalidate the
-moved task's trace chain (path profiles are structure-only, so they
-always survive a move).  Proposals that would overlap regions raise
+The layout edits (``code:``/``data:``/``color:``/``swap:``) and
+:meth:`WhatIfSession.set_assignment` jumps are the optimizer's neighbor
+moves: they pin explicit placements through a
+:class:`~repro.program.layout.LayoutAssignment` and invalidate only the
+moved tasks' sim and flow entries.  Traces and path profiles carry no
+placement, so they always survive a move: a moved task relocates its
+stored reference stream and replays it through the cache, without
+re-running the VM.  Proposals that would overlap regions raise
 :class:`~repro.program.layout.LayoutError` *before* any session state
 changes, so a rejected move leaves the session untouched.
 
@@ -345,6 +349,11 @@ class WhatIfSession:
     @property
     def context_switch(self) -> int:
         return self._placed.context_switch
+
+    @property
+    def store(self) -> ArtifactStore:
+        """The session's artifact store."""
+        return self._store
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "WhatIfSession":

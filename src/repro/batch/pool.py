@@ -34,6 +34,7 @@ the identical context object and therefore produces identical results.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import pickle
 import shutil
@@ -64,6 +65,12 @@ _POOL_FAILURES = (
     TypeError,
 )
 
+#: Workers are forked: they inherit the parent's imported modules and
+#: warm caches, and ``derived`` state and module-level task functions
+#: resolve without re-import.  Stated rather than inherited from the
+#: platform default, which Python 3.14 moves to ``forkserver`` on Linux.
+START_METHOD = multiprocessing.get_context("fork")
+
 #: Distinct contexts a single worker keeps unpickled at once.  Sweeps
 #: seed one context per experiment spec, so a handful suffices; the bound
 #: only matters for pathological churn.
@@ -71,7 +78,8 @@ _WORKER_CONTEXT_SLOTS = 4
 
 
 class WarmPool:
-    """A persistent fork pool whose workers cache shipped context.
+    """A persistent fork pool (:data:`START_METHOD`) whose workers cache
+    shipped context.
 
     Use as a context manager (workers and spool files are released on
     exit)::
@@ -210,7 +218,9 @@ class WarmPool:
     def _ensure_executor(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.jobs, mp_context=START_METHOD
+                )
                 if _OBS.enabled:
                     _OBS.metrics.counter("batch.pool.starts").inc()
             return self._executor

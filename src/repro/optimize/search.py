@@ -5,8 +5,10 @@ space of :class:`~repro.program.layout.LayoutAssignment` placements:
 
 1. **Generation phase** — a seeded batch of random candidates fans out
    through :func:`~repro.batch.engine.analyze_batch` on the shared
-   :class:`~repro.batch.pool.WarmPool` (one shipped context, cached
-   sub-artifacts); the best candidate seeds the local search.
+   :class:`~repro.batch.pool.WarmPool` (one shipped context) against the
+   session's store, so every candidate relocates the session's stored
+   traces instead of re-running the VM; the best candidate seeds the
+   local search.
 2. **Restart 0** — greedy descent: accept only strictly improving
    neighbors, stop after *patience* proposals without improving the
    best-ever score.  With ``method="greedy"`` this is the whole search.
@@ -21,11 +23,11 @@ construction (lower scores are better).
 Every neighbor is evaluated through a
 :class:`~repro.analysis.whatif.WhatIfSession` jump
 (:meth:`~repro.analysis.whatif.WhatIfSession.set_assignment`): only the
-moved task's trace chain recomputes, and rejected moves revert warm out
-of the session's store.  The move log records, for every visited layout,
-the assignment and its evaluation payload — byte-comparable against a
-cold :func:`analyze_batch` recomputation, which the equivalence suite
-pins.  Nothing in the log or the Pareto front carries timing, so a run
+moved task's sim and flow entries recompute, from its relocated stored
+trace, and rejected moves revert warm out of the session's store.  The
+move log records, for every visited layout, the assignment and its
+evaluation payload — byte-comparable against a cold
+:func:`analyze_batch` recomputation, which the equivalence suite pins.  Nothing in the log or the Pareto front carries timing, so a run
 is byte-reproducible from its seed.
 """
 
@@ -385,6 +387,7 @@ def _search(
                     for candidate in candidates
                 ],
                 jobs=jobs,
+                store=session.store,
                 path_engine="dense",
                 pool=pool,
             )

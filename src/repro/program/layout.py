@@ -151,6 +151,12 @@ class ProgramLayout:
         except KeyError:
             raise LayoutError(f"no symbol {name!r} in layout") from None
 
+    def region_bases(self) -> tuple[int, ...]:
+        """Base of every region a trace can reference: the code base, then
+        each array's in ``program.arrays`` order (region ``i + 1`` is the
+        ``i``-th array; see :class:`~repro.vm.trace.RelocatableTrace`)."""
+        return (self.code_base, *self._symbol_bases.values())
+
     def element_address(self, symbol: str | ArrayDecl, element: int) -> int:
         """Byte address of the *element*-th element of array *symbol*."""
         name = symbol.name if isinstance(symbol, ArrayDecl) else symbol

@@ -135,15 +135,16 @@ class Machine:
     def _effective_address(self, instr: Load | Store) -> int:
         base = self.layout.symbol_base(instr.symbol)
         index = 0 if instr.index is None else self._resolve(instr.index)
-        address = base + index * instr.scale + instr.disp
+        offset = index * instr.scale + instr.disp
         decl = self.program.array(instr.symbol)
-        if not base <= address < base + decl.size_bytes:
+        if not 0 <= offset < decl.size_bytes:
+            # Relative to the symbol, like the check itself: a run's
+            # outcome never depends on the layout (see RelocatableTrace).
             raise VMError(
-                f"address {address:#x} out of bounds for {instr.symbol!r} "
-                f"[{base:#x}, {base + decl.size_bytes:#x}) in node "
-                f"{self._block.label!r}"
+                f"offset {offset:#x} out of bounds for {instr.symbol!r} "
+                f"({decl.size_bytes:#x} bytes) in node {self._block.label!r}"
             )
-        return address
+        return base + offset
 
     def _access(self, address: int, kind: str) -> int:
         if self.trace is not None:

@@ -373,6 +373,46 @@ class TestOptimizeExperiments:
         assert budget.improvement_pct() > 0
 
 
+    def test_generation_batch_reuses_the_session_traces(self, monkeypatch):
+        import repro.batch.engine as engine
+        from repro.vm.machine import Machine
+
+        raw_batch, raw_run = engine.analyze_batch, Machine.run
+        runs, batches = [], []
+
+        def counted_run(self, *args, **kwargs):
+            runs.append(self.program.name)
+            return raw_run(self, *args, **kwargs)
+
+        def recorded_batch(points, *args, store=None, **kwargs):
+            before = (store.hits_by_kind.get("trace", 0), len(runs))
+            result = raw_batch(points, *args, store=store, **kwargs)
+            batches.append(
+                (store, store.hits_by_kind.get("trace", 0) - before[0],
+                 len(runs) - before[1], len(points))
+            )
+            return result
+
+        monkeypatch.setattr(engine, "analyze_batch", recorded_batch)
+        monkeypatch.setattr(Machine, "run", counted_run)
+        store = ArtifactStore(directory=None, memory_slots=4096)
+        optimize(
+            "exp2", seed=1, budget_evals=4, generation=4, patience=2,
+            restarts=1, method="greedy", store=store,
+            cache_budgets=[CacheConfig.scaled_8k(20)],
+        )
+        assert len(batches) == 1
+        batch_store, trace_hits, vm_runs, points = batches[0]
+        # The batch answers the candidates' moved tasks from the session's
+        # stored traces (unmoved ones hit the task memo first) and never
+        # re-runs the VM.
+        assert batch_store is store
+        assert points > 0
+        assert store.hits_by_kind["trace"] > 0
+        assert trace_hits > 0
+        assert vm_runs == 0
+
+
 class TestOptimizeCli:
     def test_cli_smoke_writes_timing_free_json(self, tmp_path, capsys):
         out = tmp_path / "optimize.json"

@@ -1,7 +1,8 @@
 """Schema migration: v1 monolithic cache entries are stale, not fatal.
 
 Schema 1 of the artifact store pickled bare ``CachedAnalysis`` bundles;
-schema 2 wraps sub-artifacts in the :class:`StoredEntry` envelope.  A
+schema 2 wrapped sub-artifacts in the :class:`StoredEntry` envelope;
+schema 3 stores placement-free traces.  A
 cache directory written by an older version must degrade gracefully: a
 v1 entry squatting on a current key is a *stale* counted miss (distinct
 from ``corrupt``, so migrations show up in telemetry), the file is
@@ -14,7 +15,12 @@ from __future__ import annotations
 import pickle
 
 from repro.analysis import analyze_task
-from repro.analysis.store import ArtifactStore, CachedAnalysis, StoredEntry
+from repro.analysis.store import (
+    SCHEMA_VERSION,
+    ArtifactStore,
+    CachedAnalysis,
+    StoredEntry,
+)
 from repro.obs import observed
 from repro.program import SystemLayout
 
@@ -63,6 +69,36 @@ def test_v1_entries_are_counted_stale_misses_and_heal(
     assert warm.wcet.cycles == cold.wcet.cycles
     assert warm.footprint == cold.footprint
     # The v1 files were replaced: the next lookup is all hits again.
+    retry = ArtifactStore(directory=tmp_path)
+    analyze_task(layout, scenarios, tiny_cache_config, store=retry)
+    assert retry.stale == 0
+    assert retry.hits_by_kind == {"trace": 1, "sim": 1, "flow": 1, "paths": 1}
+
+
+def test_schema2_entries_are_counted_stale_misses_and_heal(
+    tmp_path, tiny_cache_config
+):
+    """Schema 2 keyed traces by placement; its envelopes (same kinds,
+    superseded schema) are stale misses that heal, never hits."""
+    layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
+    for entry in entries:
+        current = pickle.loads(entry.read_bytes())
+        assert current.schema == SCHEMA_VERSION == 3
+        entry.write_bytes(
+            pickle.dumps(
+                StoredEntry(schema=2, kind=current.kind, payload=current.payload),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        )
+
+    with observed() as (_, metrics):
+        store = ArtifactStore(directory=tmp_path)
+        warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
+    # trace/flow/paths read stale; sim is not looked up after a trace miss.
+    assert (store.stale, store.corrupt, store.hits) == (3, 0, 0)
+    assert metrics.to_dict()["counters"]["store.stale"] == 3
+    assert warm.wcet.cycles == cold.wcet.cycles
+    assert warm.dataflow == cold.dataflow
     retry = ArtifactStore(directory=tmp_path)
     analyze_task(layout, scenarios, tiny_cache_config, store=retry)
     assert retry.stale == 0

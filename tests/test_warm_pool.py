@@ -73,6 +73,15 @@ class TestWarmPoolBasics:
             results = pool.map(_with_context, list(range(8)), context=token)
         assert results == [(7, i) for i in range(8)]
 
+    def test_executor_start_method_is_fork(self):
+        """Stated, not inherited: Python 3.14 makes ``forkserver`` the
+        Linux default, which would re-import every worker's modules."""
+        with WarmPool(jobs=2) as pool:
+            executor = pool._ensure_executor()
+            assert executor._mp_context.get_start_method() == "fork"
+            token = pool.seed({"base": 5})
+            assert pool.map(_with_context, [1], context=token) == [(5, 1)]
+
     def test_closed_pool_refuses_work(self):
         pool = WarmPool(jobs=1)
         pool.close()

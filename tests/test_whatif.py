@@ -5,6 +5,7 @@ and the ``repro whatif`` CLI verb."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.fuzz.spec import (
     TaskDef,
 )
 from repro.obs import observed
+from repro.vm.machine import Machine
 from repro.wcrt.response_time import WCRTResult
 from repro.wcrt.task import TaskSpec
 
@@ -170,6 +172,40 @@ class TestInvalidationAccounting:
             # t1's busy-window recurrence is unchanged by its own period,
             # so all 4 recomputed nodes restart from their own fixpoint.
             assert state.warm_started == 4
+
+    def test_layout_jump_replays_stored_traces_without_the_vm(
+        self, monkeypatch
+    ):
+        with WhatIfSession(small_spec()) as session:
+            session.result()
+            assignment = session.layout_assignment()
+            t1 = assignment.placement("t1")
+            shift = 0x10000  # past every region: t1 is placed last
+            moved = assignment.replace(
+                replace(
+                    t1,
+                    code_base=t1.code_base + shift,
+                    data_base=t1.data_base + shift,
+                )
+            )
+            runs = []
+            raw_run = Machine.run
+
+            def counted_run(self, *args, **kwargs):
+                runs.append(self.program.name)
+                return raw_run(self, *args, **kwargs)
+
+            monkeypatch.setattr(Machine, "run", counted_run)
+            state = session.set_assignment(moved)
+        # Traces and paths carry no placement: both tasks reuse them.
+        # Only the moved task's sim and flow entries recompute, by
+        # relocating its stored stream — no VM run.
+        assert state.reused["trace"] == 2
+        assert state.reused["paths"] == 2
+        assert state.invalidated["sim"] == 1
+        assert state.invalidated["flow"] == 1
+        assert state.reused["sim"] == 1 and state.reused["flow"] == 1
+        assert runs == []
 
     def test_whatif_span_and_counters(self):
         with observed() as (tracer, metrics):
